@@ -1,7 +1,6 @@
 """Compare a fresh benchmark run against its committed baseline.
 
-Handles every harness document — ``BENCH_flow.json``
-(``repro-bench-flow/1``), ``BENCH_sizing.json``
+Handles every gated harness document — ``BENCH_sizing.json``
 (``repro-bench-sizing/1``), ``BENCH_service.json``
 (``repro-bench-service/1``) and ``BENCH_warmstart.json``
 (``repro-bench-warmstart/1``); the document schema picks the
@@ -10,26 +9,23 @@ comparison.
 CI runners differ wildly in raw speed, so absolute wall times are never
 compared.  The regression gate uses machine-independent signals only:
 
-* same-process speedup ratios — ``speedup_ssp_vs_legacy`` per circuit
-  for the flow document, the scalar-vs-vectorized W-phase and TILOS
-  ratios and the batched-campaign throughput ratio for the sizing
-  document.  Both sides of each ratio ran on the same machine in the
-  same process, so the ratio survives runner changes.  Fails when the
-  current ratio drops more than ``--threshold`` (default 20%) below
-  the baseline.
-* deterministic work counters — flow ``augmentations``/``sp_rounds``,
-  sizing W-phase sweep counts and TILOS bump counts; a jump means the
-  algorithm got structurally worse even if the runner hides it.
-* ``parity_ok`` — backends (flow) or kernels (sizing) must still agree
-  on their results; for the service document, cached and cross-replica
-  replies must be byte-identical to fresh executions.
+* same-process speedup ratios — the scalar-vs-vectorized W-phase and
+  TILOS ratios and the batched-campaign throughput ratio for the
+  sizing document.  Both sides of each ratio ran on the same machine
+  in the same process, so the ratio survives runner changes.  Fails
+  when the current ratio drops more than ``--threshold`` (default 20%)
+  below the baseline.
+* deterministic work counters — sizing W-phase sweep counts and TILOS
+  bump counts; a jump means the algorithm got structurally worse even
+  if the runner hides it.
+* ``parity_ok`` — kernels (sizing) must still agree on their results;
+  for the service document, cached and cross-replica replies must be
+  byte-identical to fresh executions.
 * service booleans and counters — ``admission_ok``, warm-phase
   ``cache_hit_rate``, and the cold-phase execution count.
 
 Usage::
 
-    python benchmarks/check_regression.py \
-        --baseline benchmarks/BENCH_flow.json --current BENCH_flow.json
     python benchmarks/check_regression.py \
         --baseline benchmarks/BENCH_sizing.json --current BENCH_sizing.json
 """
@@ -44,43 +40,6 @@ from pathlib import Path
 
 def _by_name(report: dict) -> dict[str, dict]:
     return {entry["name"]: entry for entry in report["circuits"]}
-
-
-def compare(baseline: dict, current: dict, threshold: float) -> list[str]:
-    """Return a list of human-readable failures (empty == pass)."""
-    failures: list[str] = []
-    if not current["summary"]["parity_ok"]:
-        failures.append("backend parity broken: objectives disagree")
-
-    base_circuits = _by_name(baseline)
-    cur_circuits = _by_name(current)
-    for name, base in base_circuits.items():
-        cur = cur_circuits.get(name)
-        if cur is None:
-            failures.append(f"{name}: missing from current run")
-            continue
-        base_speedup = base.get("speedup_ssp_vs_legacy")
-        cur_speedup = cur.get("speedup_ssp_vs_legacy")
-        if base_speedup and cur_speedup:
-            floor = base_speedup * (1.0 - threshold)
-            if cur_speedup < floor:
-                failures.append(
-                    f"{name}: ssp speedup regressed "
-                    f"{base_speedup:.2f}x -> {cur_speedup:.2f}x "
-                    f"(floor {floor:.2f}x)"
-                )
-        base_ssp = base["backends"].get("ssp")
-        cur_ssp = cur["backends"].get("ssp")
-        if base_ssp and cur_ssp:
-            for counter in ("augmentations", "sp_rounds"):
-                ceiling = base_ssp[counter] * (1.0 + threshold) + 8
-                if cur_ssp[counter] > ceiling:
-                    failures.append(
-                        f"{name}: ssp {counter} grew "
-                        f"{base_ssp[counter]} -> {cur_ssp[counter]} "
-                        f"(ceiling {ceiling:.0f})"
-                    )
-    return failures
 
 
 def compare_sizing(baseline: dict, current: dict, threshold: float) -> list[str]:
@@ -271,7 +230,6 @@ def compare_warmstart(
 
 #: Comparison routine per benchmark document schema.
 COMPARATORS = {
-    "repro-bench-flow/1": compare,
     "repro-bench-sizing/1": compare_sizing,
     "repro-bench-service/1": compare_service,
     "repro-bench-warmstart/1": compare_warmstart,

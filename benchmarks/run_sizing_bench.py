@@ -2,8 +2,7 @@
 
 Measures the two sizing-phase kernels this library provides (see
 ``src/repro/sizing/kernels.py``) on the same instance, in the same
-process, so the scalar/vectorized ratios survive CI runner changes the
-way the flow benchmark's ssp-vs-legacy ratio does:
+process, so the scalar/vectorized ratios survive CI runner changes:
 
 * **W-phase SMP relaxation** — ``w_phase`` with ``engine="scalar"``
   (per-vertex Gauss-Seidel) vs ``engine="vectorized"`` (level-blocked

@@ -1,11 +1,10 @@
 """Ablation benchmark: D-phase solver backends (E-ABL in DESIGN.md).
 
 The paper solves the D-phase with a network simplex [9]; this library
-registers four interchangeable solvers (repro.flow.registry).  This
+solves it with network simplex or HiGHS (repro.flow.duality).  This
 benchmark times one D-phase solve per backend on the same instance and
 asserts they agree on the objective — the evidence behind DESIGN.md's
-solver-substitution note.  The standalone harness that CI runs (and
-that emits BENCH_flow.json) is run_flow_bench.py in this directory.
+solver-substitution note.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ import pytest
 
 from benchmarks.conftest import get_context
 from repro.balancing import balance
+from repro.flow import BACKENDS
 from repro.sizing import d_phase
 
-_BACKENDS = ("ssp", "ssp-legacy", "networkx", "scipy")
 _GAINS: dict[str, float] = {}
 
 
@@ -31,7 +30,7 @@ def _instance():
     return context.dag, seed.x, config, -0.25 * load, 0.25 * load
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_dphase_backend(benchmark, backend):
     dag, x, config, min_dd, max_dd = _instance()
 
@@ -49,7 +48,7 @@ def test_backends_agree(benchmark):
         values = list(_GAINS.values())
         return max(values) - min(values)
 
-    if len(_GAINS) == len(_BACKENDS):
+    if len(_GAINS) == len(BACKENDS):
         spread = benchmark(check)
         scale = max(abs(v) for v in _GAINS.values()) or 1.0
         assert spread <= 1e-5 * scale

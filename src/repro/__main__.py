@@ -31,7 +31,8 @@ Examples
     python -m repro trace runs/service/trace.jsonl
 
 Exit codes: 0 success; 1 infeasible target or failed campaign jobs;
-2 usage errors (unknown circuit, bad delay target, malformed run dir).
+2 usage errors (unknown circuit or flow backend, bad delay target,
+malformed run dir).
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from repro.analysis.reporting import format_table
 from repro.circuit import circuit_stats, map_to_primitives
 from repro.circuit.mapping import is_primitive_circuit
 from repro.dag import build_sizing_dag
-from repro.errors import ReproError
+from repro.errors import FlowError, ReproError
+from repro.flow.duality import BACKEND_CHOICES, check_backend, stats_scope
 from repro.generators.iscas import SUITE
 from repro.runner.spec import JOB_KINDS
 from repro.sizing import MinfloOptions, TilosOptions, minflotransit, tilos_size
@@ -73,9 +75,16 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         ) from None
 
 
-def _cmd_size(args: argparse.Namespace) -> int:
-    from repro.flow.registry import stats_scope
+def _flow_backend(name: str) -> str:
+    """``--flow-backend`` type: unknown names are usage errors at parse
+    time, before any circuit is built or solved."""
+    try:
+        return check_backend(name)
+    except FlowError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
+
+def _cmd_size(args: argparse.Namespace) -> int:
     if args.spec <= 0:
         print(f"error: --spec must be a positive fraction of Dmin, "
               f"got {args.spec}", file=sys.stderr)
@@ -137,18 +146,14 @@ def _print_flow_stats(totals: dict) -> None:
         [
             name,
             str(stats.solves),
-            str(stats.warm_solves),
-            str(stats.augmentations),
-            str(stats.sp_rounds),
-            str(stats.dijkstra_pops),
-            f"{stats.supply_routed:.3g}",
+            str(stats.n_nodes),
+            str(stats.n_arcs),
             f"{stats.wall_time_s:.3f}",
         ]
         for name, stats in sorted(totals.items())
     ]
     print(format_table(
-        ["backend", "solves", "warm", "augment", "sp rounds", "pops",
-         "routed", "wall s"],
+        ["backend", "solves", "nodes", "arcs", "wall s"],
         rows,
         title="flow solver statistics",
     ))
@@ -188,7 +193,7 @@ def _print_phase_stats(seed, result) -> None:
 
 
 def _print_iteration_stats(seed, result) -> None:
-    """Incremental-timing and warm-start telemetry of one sizing run."""
+    """Incremental-timing telemetry of one sizing run."""
     tstats = seed.timing_stats
     if tstats:
         print(
@@ -198,16 +203,12 @@ def _print_iteration_stats(seed, result) -> None:
             f"{100 * tstats['cone_fraction']:.1f}% of a full pass each"
         )
     if result.iterations:
-        warm = sum(1 for rec in result.iterations if rec.warm_start)
         mean_cone = sum(
             rec.cone_fraction for rec in result.iterations
         ) / len(result.iterations)
-        augment = sum(rec.augmentations for rec in result.iterations)
         print(
-            f"W/D iterations: {len(result.iterations)} "
-            f"({warm} warm-started), mean timing cone "
-            f"{100 * mean_cone:.1f}% of a full pass, "
-            f"{augment} augmenting paths total"
+            f"W/D iterations: {len(result.iterations)}, mean timing cone "
+            f"{100 * mean_cone:.1f}% of a full pass"
         )
 
 
@@ -609,7 +610,8 @@ def _add_campaign_parser(sub) -> None:
                                 "batchable kernel workload), or phases "
                                 "(timing study)")
             p.add_argument("--flow-backend", "--backend", dest="backend",
-                           default="auto")
+                           default="auto", type=_flow_backend,
+                           choices=BACKEND_CHOICES)
             p.add_argument("--name", default=None,
                            help="campaign name (run-dir default stem)")
             p.add_argument("--run-dir", default=None,
@@ -761,10 +763,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_size.add_argument("--wires", action="store_true",
                         help="size wires simultaneously (section 2.1)")
     p_size.add_argument("--flow-backend", "--backend", dest="backend",
-                        default="auto",
-                        help="D-phase flow solver: 'auto' (registry "
-                             "picks per instance) or a registered name "
-                             "(ssp/ssp-legacy/networkx/scipy)")
+                        default="auto", type=_flow_backend,
+                        choices=BACKEND_CHOICES,
+                        help="D-phase LP solver: 'networkx' (network "
+                             "simplex), 'scipy' (HiGHS) or 'auto' "
+                             "(picks by LP size)")
     p_size.add_argument("--kernel", choices=["vectorized", "scalar"],
                         default="vectorized",
                         help="sizing kernels for TILOS sensitivities and "
@@ -800,7 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1 = sub.add_parser("table1", help="regenerate Table 1")
     p_t1.add_argument("--tier", default=None, choices=["smoke", "paper"])
     p_t1.add_argument("--flow-backend", "--backend", dest="backend",
-                      default="auto")
+                      default="auto", type=_flow_backend,
+                      choices=BACKEND_CHOICES)
     p_t1.add_argument("--jobs", type=int, default=1)
     p_t1.add_argument("--cache-dir", default=None,
                       help="replay/store rows in a campaign result cache")
@@ -816,7 +820,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits on usage errors (2) and --help (0); hand the
+        # code back like every other command does.
+        return exc.code
     try:
         if args.command == "table1":
             from repro.experiments.table1 import format_table1, run_table1

@@ -27,6 +27,7 @@ import os
 from dataclasses import dataclass
 
 from repro.analysis.reporting import format_table
+from repro.flow.duality import BACKEND_CHOICES
 from repro.generators.iscas import SUITE, BenchmarkSpec
 from repro.runner import CampaignSpec, Job, JobOutcome, run, tier_preset
 from repro.runner.executor import execute_job
@@ -199,7 +200,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tier", default=None, choices=["smoke", "paper"])
     parser.add_argument("--flow-backend", "--backend", dest="backend",
-                        default="auto")
+                        default="auto", choices=BACKEND_CHOICES)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (1 = run in-process)")
     parser.add_argument("--cache-dir", default=None,

@@ -14,17 +14,21 @@ Pinned nodes have no conservation constraint — they merge into one
 potentials of the flow are (up to sign and the ground offset) an
 optimal primal ``r``:  ``r(v) = π(ground) - π(v)``.
 
-:func:`solve_difference_lp` dispatches through the backend registry
-(:mod:`repro.flow.registry`); the registered backends are cross-checked
-in the test suite:
+:func:`solve_difference_lp` solves the LP with one of two solvers,
+cross-checked in the test suite:
 
-* ``"ssp"``        — the array-based primal-dual engine
-  (:mod:`repro.flow.arrayssp`), the native default,
-* ``"ssp-legacy"`` — the original heapq successive-shortest-path
-  solver, kept as a parity oracle and benchmark baseline,
-* ``"networkx"``   — ``networkx.network_simplex`` (closest in spirit to
-  the paper's network simplex reference [9]),
-* ``"scipy"``      — HiGHS on the primal LP.
+* ``"networkx"`` — ``networkx.network_simplex`` on the min-cost-flow
+  dual (the paper's own solver, its reference [9]),
+* ``"scipy"``    — HiGHS on the primal LP.
+
+``"auto"`` picks by size: network simplex for LPs of at most
+:data:`NETWORK_SIMPLEX_MAX_CONSTRAINTS` constraints, where it has no LP
+setup cost to amortize, and HiGHS above, where its compiled simplex
+wins.  Each solver module is imported on first use, so a process that
+only ever solves one kind of LP never imports the other solver.
+Every solve records a :class:`SolveStats` (solver, instance size, wall
+time) on the solution and in per-backend running totals, which
+:func:`stats_scope` scopes to one run.
 
 This module is also the single home of the **integerization policy**:
 :func:`integerize_values` (nearest / conservative-floor rounding) and
@@ -35,28 +39,56 @@ integer data, so the rounding rules cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.errors import FlowError, InfeasibleFlowError
 from repro.flow.network import FlowProblem
-from repro.flow.registry import BACKEND_NAMES, get_backend, select_backend
-from repro.flow.registry import timed_solve as _timed_solve
 
 __all__ = [
     "BACKENDS",
+    "BACKEND_CHOICES",
     "DifferenceConstraintLP",
     "GroundedFlow",
     "LpSolution",
+    "NETWORK_SIMPLEX_MAX_CONSTRAINTS",
+    "SolveStats",
+    "check_backend",
     "ground_flow",
     "integerize_supplies",
     "integerize_values",
+    "reset_solver_statistics",
     "solve_difference_lp",
+    "solver_statistics",
+    "stats_scope",
 ]
 
-#: Backward-compatible alias of :data:`repro.flow.registry.BACKEND_NAMES`.
-BACKENDS = BACKEND_NAMES
+#: The two D-phase LP solvers, by name.
+BACKENDS = ("networkx", "scipy")
+
+#: Every value a ``flow_backend`` setting accepts.
+BACKEND_CHOICES = ("auto", *BACKENDS)
+
+#: ``auto`` solves LPs of at most this many constraints with network
+#: simplex and larger ones with HiGHS: the crossover measured on
+#: D-phase LPs from real W/D runs, 2-core Intel Xeon (median ms per
+#: solve, network simplex / HiGHS): 20 rows 0.76 / 3.23, 110 rows
+#: 2.78 / 4.58, 146 rows 5.26 / 4.67.
+NETWORK_SIMPLEX_MAX_CONSTRAINTS = 128
+
+
+def check_backend(name: str) -> str:
+    """Return ``name`` if it is in :data:`BACKEND_CHOICES`, else raise
+    :class:`FlowError`."""
+    if name not in BACKEND_CHOICES:
+        raise FlowError(
+            f"unknown flow backend {name!r}; pick from "
+            f"{', '.join(BACKEND_CHOICES)}"
+        )
+    return name
 
 
 def integerize_values(
@@ -153,13 +185,8 @@ class LpSolution:
     r: np.ndarray
     objective: float
     backend: str
-    #: Solver counters (see :class:`repro.flow.registry.SolveStats`);
-    #: filled in by the registry on every dispatched solve.
-    stats: object | None = None
-    #: Starting basis for the next solve of a structurally identical
-    #: LP (see :class:`repro.flow.arrayssp.WarmStartBasis`); populated
-    #: by backends that advertise ``supports_warm_start``, else None.
-    warm_basis: object | None = None
+    #: Solver counters, filled in by :func:`solve_difference_lp`.
+    stats: SolveStats | None = None
 
 
 def ground_flow(lp: DifferenceConstraintLP) -> GroundedFlow:
@@ -209,27 +236,111 @@ def recover_r(
 
 
 def solve_difference_lp(
-    lp: DifferenceConstraintLP,
-    backend: str = "auto",
-    warm_start: object | None = None,
+    lp: DifferenceConstraintLP, backend: str = "auto"
 ) -> LpSolution:
-    """Solve the LP via the backend registry; verifies feasibility.
+    """Solve the LP and verify that the answer is feasible.
 
-    ``backend`` is a registered name or ``"auto"``, which lets
-    :func:`repro.flow.registry.select_backend` pick per instance from
-    capability metadata.  Wall time and solver counters are recorded on
-    the returned solution (``stats``) and in the registry's running
-    totals on every solve.
-
-    ``warm_start`` is the ``warm_basis`` of a previous solution of a
-    structurally identical LP; it reaches only backends that support
-    warm starts (currently the native ``ssp`` engine) and can never
-    change the optimum, only the work done to reach it.
+    ``backend`` is one of :data:`BACKEND_CHOICES`; ``"auto"`` picks
+    network simplex for LPs of at most
+    :data:`NETWORK_SIMPLEX_MAX_CONSTRAINTS` constraints and HiGHS
+    above.  The solve's :class:`SolveStats` lands on the returned
+    solution and in the per-backend running totals.
     """
+    check_backend(backend)
     if backend == "auto":
-        chosen = select_backend(len(lp.constraints), hint="auto")
+        backend = (
+            "networkx"
+            if len(lp.constraints) <= NETWORK_SIMPLEX_MAX_CONSTRAINTS
+            else "scipy"
+        )
+    if backend == "networkx":
+        from repro.flow.networkx_backend import solve_lp_networkx as solve
     else:
-        chosen = get_backend(backend)
-    solution = _timed_solve(chosen, lp, warm_start=warm_start)
+        from repro.flow.scipy_backend import solve_lp_scipy as solve
+    start = time.perf_counter()
+    solution = solve(lp)
+    solution.stats = SolveStats(
+        backend=backend,
+        n_nodes=lp.n_nodes,
+        n_arcs=len(lp.constraints),
+        wall_time_s=time.perf_counter() - start,
+    )
+    record_stats(solution.stats)
     lp.check_feasible(solution.r)
     return solution
+
+
+@dataclass
+class SolveStats:
+    """Counters of the solves :func:`solve_difference_lp` ran."""
+
+    backend: str
+    n_nodes: int = 0
+    n_arcs: int = 0
+    wall_time_s: float = 0.0
+    solves: int = 1
+
+    def merge(self, other: "SolveStats") -> None:
+        """Fold another solve's counters into this running total."""
+        self.wall_time_s += other.wall_time_s
+        self.solves += other.solves
+        self.n_nodes = max(self.n_nodes, other.n_nodes)
+        self.n_arcs = max(self.n_arcs, other.n_arcs)
+
+
+_TOTALS: dict[str, SolveStats] = {}
+
+
+def record_stats(stats: SolveStats) -> None:
+    """Fold one solve's counters into the per-backend running totals."""
+    total = _TOTALS.get(stats.backend)
+    if total is None:
+        _TOTALS[stats.backend] = replace(stats)
+    else:
+        total.merge(stats)
+
+
+def solver_statistics() -> dict[str, SolveStats]:
+    """Snapshot of per-backend totals since the last reset."""
+    return {name: replace(total) for name, total in _TOTALS.items()}
+
+
+def reset_solver_statistics() -> None:
+    """Zero the per-backend running totals."""
+    _TOTALS.clear()
+
+
+@contextmanager
+def stats_scope():
+    """Collect solver statistics for exactly the enclosed work.
+
+    The module-level totals are cumulative since import, which makes
+    them wrong for any consumer that needs *per-run* numbers (the CLI's
+    ``--flow-stats``, the campaign executor's per-job telemetry): totals
+    from earlier runs in the same process would leak in.  This context
+    manager isolates a scope — the yielded dict is filled with the
+    scope's own per-backend :class:`SolveStats` on exit — and then folds
+    the scoped counters back into the outer totals so nested/global
+    accounting still adds up.
+
+    Usage::
+
+        with stats_scope() as scoped:
+            minflotransit(...)
+        print(scoped)   # only this run's solves
+    """
+    outer = {name: replace(total) for name, total in _TOTALS.items()}
+    _TOTALS.clear()
+    scoped: dict[str, SolveStats] = {}
+    try:
+        yield scoped
+    finally:
+        scoped.update(
+            {name: replace(total) for name, total in _TOTALS.items()}
+        )
+        for name, total in outer.items():
+            mine = _TOTALS.get(name)
+            if mine is None:
+                _TOTALS[name] = replace(total)
+            else:
+                mine.merge(total)

@@ -2,8 +2,8 @@
 
 The D-phase of MINFLOTRANSIT is the LP dual of a min-cost flow problem
 (paper section 2.3.1, step (5)); this module holds the flow instance
-itself, independent of the solver used (:mod:`repro.flow.ssp`,
-:mod:`repro.flow.networkx_backend` or the LP route in
+itself, independent of the solver used (network simplex in
+:mod:`repro.flow.networkx_backend`, or the LP route in
 :mod:`repro.flow.scipy_backend`).
 
 Conventions: arc costs may be any finite number, capacities default to
@@ -97,9 +97,6 @@ class FlowSolution:
     potentials: np.ndarray
     total_cost: float
     backend: str
-    #: Solver counters (populated by the native engines; see
-    #: :class:`repro.flow.registry.SolveStats`).
-    stats: object | None = None
 
     def residual_arcs(self):
         """Yield (src, dst, reduced capacity, cost) of the residual graph."""

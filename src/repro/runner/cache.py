@@ -51,7 +51,8 @@ _PROBES = get_registry().counter(
 
 #: Version of the cache entry layout itself (bump to orphan every
 #: existing entry when the payload structure changes incompatibly).
-CACHE_LAYOUT_VERSION = 1
+#: 2: payloads no longer carry the native flow engines' counters.
+CACHE_LAYOUT_VERSION = 2
 
 
 def netlist_digest(token: str) -> str:

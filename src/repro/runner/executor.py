@@ -30,7 +30,7 @@
   per-job path alone while the rest of the batch proceeds.
 
 Per-job flow-solver telemetry is collected with
-:func:`repro.flow.registry.stats_scope` — never from the module-global
+:func:`repro.flow.duality.stats_scope` — never from the module-global
 totals, which would interleave under any concurrent or repeated use.
 """
 
@@ -203,7 +203,7 @@ def _execute_sizing(
     """
     from repro.circuit.mapping import is_primitive_circuit, map_to_primitives
     from repro.dag import build_sizing_dag
-    from repro.flow.registry import stats_scope
+    from repro.flow.duality import stats_scope
     from repro.sizing import minflotransit, tilos_size
     from repro.sizing.serialize import result_to_dict
     from repro.sizing.tilos import TilosOptions

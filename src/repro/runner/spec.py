@@ -22,7 +22,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.circuit.netlist import Circuit
-from repro.errors import RunnerError
+from repro.errors import FlowError, RunnerError
+from repro.flow.duality import check_backend
 from repro.generators.iscas import SUITE, build_circuit
 from repro.sizing.minflo import MinfloOptions
 
@@ -54,6 +55,13 @@ _OPTION_FIELDS = frozenset(
     for f in fields(MinfloOptions)
     if f.name not in ("tilos", "warm_corpus")
 )
+
+
+def _check_backend(name: str) -> None:
+    try:
+        check_backend(name)
+    except FlowError as exc:
+        raise RunnerError(str(exc)) from None
 
 
 def normalize_options(overrides: dict | None) -> tuple[tuple[str, object], ...]:
@@ -98,6 +106,7 @@ class Job:
                 f"delay spec must be a positive fraction of Dmin, "
                 f"got {self.delay_spec!r}"
             )
+        _check_backend(self.flow_backend)
 
     def minflo_options(self) -> MinfloOptions:
         """Concrete options for this job (overrides applied)."""
@@ -167,6 +176,8 @@ class CampaignSpec:
             )
         if not self.flow_backends:
             raise RunnerError("campaign needs at least one flow backend")
+        for backend in self.flow_backends:
+            _check_backend(backend)
 
     def _specs_for(self, circuit: str) -> tuple[float, ...]:
         if self.delay_specs:

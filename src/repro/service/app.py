@@ -74,7 +74,7 @@ from repro.errors import ReproError, ServiceError
 from repro.faults.injector import active as active_faults
 from repro.faults.injector import install as install_faults
 from repro.faults.injector import observe_faults
-from repro.flow.registry import get_backend
+from repro.flow.duality import check_backend
 from repro.obs.metrics import MetricsRegistry, get_registry, observe_spans
 from repro.obs.trace import (
     SpanSink,
@@ -199,11 +199,10 @@ def build_job(body: dict, netlist_dir: Path | None = None) -> Job:
         isinstance(flow_backend, str),
         f"'flow_backend' must be a string, got {flow_backend!r}",
     )
-    if flow_backend != "auto":
-        try:
-            get_backend(flow_backend)
-        except ReproError as exc:
-            raise ServiceError(str(exc)) from exc
+    try:
+        check_backend(flow_backend)
+    except ReproError as exc:
+        raise ServiceError(str(exc)) from exc
     options = body.get("options")
     _require(
         options is None or isinstance(options, dict),
@@ -1063,17 +1062,17 @@ class SizingService:
         :class:`~repro.obs.metrics.MetricsRegistry` cells that
         ``/v1/metrics`` exposes, so the two endpoints can never
         disagree.  ``flow`` sums the per-job
-        :class:`~repro.flow.registry.SolveStats` that each sizing
+        :class:`~repro.flow.duality.SolveStats` that each sizing
         collects under its own
-        :func:`~repro.flow.registry.stats_scope` — per-request scoping
+        :func:`~repro.flow.duality.stats_scope` — per-request scoping
         first, aggregation second, so concurrent jobs never interleave
         counters.
         """
         flow: dict[str, dict] = {}
         for labels, value in self._m_flow.items():
             cell = flow.setdefault(labels["backend"], {})
-            # SolveStats fields are ints (counts) or floats (supply);
-            # restore int-ness lost to the float-valued gauge.
+            # SolveStats fields are ints (counts) or floats (wall
+            # time); restore int-ness lost to the float-valued gauge.
             cell[labels["field"]] = (
                 int(value) if float(value).is_integer() else value
             )

@@ -11,7 +11,7 @@ surface onto one shared :class:`~repro.service.app.SizingService`:
 ``GET /v1/jobs/<id>``           job status + full result when available
 ``GET /v1/jobs/<id>/events``    long-poll SSE stream of status changes
 ``GET /v1/circuits``            the benchmark suite + accepted tokens
-``GET /v1/backends``            registered flow backends + capabilities
+``GET /v1/backends``            the D-phase solvers + the ``auto`` rule
 ``GET /v1/healthz``             liveness probe; reports ``degraded``
                                 when the shared-cache breaker is open
                                 or jobs sit in the dead-letter queue
@@ -38,12 +38,11 @@ from __future__ import annotations
 import json
 import math
 import urllib.parse
-from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ReproError, ServiceError
 from repro.faults.injector import decide as fault_decide
-from repro.flow.registry import registered_backends
+from repro.flow.duality import BACKENDS, NETWORK_SIMPLEX_MAX_CONSTRAINTS
 from repro.generators.iscas import SUITE
 from repro.obs.trace import (
     TRACE_HEADER,
@@ -458,18 +457,13 @@ def _circuits_body() -> dict:
 
 
 def _backends_body() -> dict:
-    """Discovery payload: the flow registry's backends + capabilities."""
+    """Discovery payload: the D-phase solvers and the ``auto`` rule."""
     return {
         "schema": WIRE_SCHEMA,
-        "backends": [
-            {
-                "name": backend.name,
-                "priority": backend.priority,
-                "available": bool(backend.available()),
-                "capabilities": asdict(backend.capabilities),
-            }
-            for backend in registered_backends()
-        ],
+        "backends": [{"name": name} for name in BACKENDS],
+        "auto_network_simplex_max_constraints": (
+            NETWORK_SIMPLEX_MAX_CONSTRAINTS
+        ),
     }
 
 

@@ -13,25 +13,20 @@ and cautiously re-expanded after successes.  Every accepted iterate is
 verified safe (``CP <= target``), so the final answer always meets
 timing whenever the TILOS seed does.
 
-Two cross-iteration accelerators exploit how little each W/D round
-actually changes (both are exact — they never alter the iterates):
-
-* **Incremental timing.**  One :class:`repro.timing.IncrementalTimer`
-  lives across the whole alternation; each round feeds it only the
-  vertices whose delay moved, so the per-iteration timing cost scales
-  with the perturbed cone instead of |E|.  Its reports drive both the
-  delay balancing and the safety check.
-* **Warm-started D-phase.**  Every D-phase solves a flow instance with
-  identical topology; the previous solve's basis (potentials + flow)
-  seeds the next one, so only the supply drift is re-routed
-  (``MinfloOptions.warm_start`` disables this for A/B comparisons).
+**Incremental timing** exploits how little each W/D round actually
+changes (exactly — it never alters the iterates): one
+:class:`repro.timing.IncrementalTimer` lives across the whole
+alternation; each round feeds it only the vertices whose delay moved,
+so the per-iteration timing cost scales with the perturbed cone
+instead of |E|.  Its reports drive both the delay balancing and the
+safety check.
 
 Within each iteration the W-phase runs on the vectorized level-blocked
 kernel by default (``MinfloOptions.kernel``; see
 :mod:`repro.sizing.kernels` — identical iterates to the scalar loop).
 
-Per-iteration telemetry (cone size, warm-start reuse, augmentations,
-SMP sweep counts) lands in each
+Per-iteration telemetry (cone size, D-phase solver, SMP sweep counts)
+lands in each
 :class:`~repro.sizing.result.IterationRecord`; cumulative per-phase
 wall times land in :attr:`~repro.sizing.result.SizingResult.phase_seconds`,
 measured by the :func:`repro.obs.trace.span` context managers around
@@ -49,6 +44,7 @@ import numpy as np
 from repro.balancing.fsdu import balance
 from repro.dag.circuit_dag import SizingDag
 from repro.errors import InfeasibleTimingError, SizingError
+from repro.flow.duality import check_backend
 from repro.obs.trace import span
 from repro.sizing.dphase import d_phase
 from repro.sizing.kernels import SMP_ENGINES
@@ -93,14 +89,10 @@ class MinfloOptions:
     max_iterations: int = 60
     #: Delay-balancing configuration fed to the D-phase.
     balancing: str = "asap"
-    #: Min-cost-flow / LP backend: "auto" or a name registered in
-    #: :mod:`repro.flow.registry` ("ssp", "ssp-legacy", "networkx",
-    #: "scipy").
+    #: D-phase LP solver, one of
+    #: :data:`repro.flow.duality.BACKEND_CHOICES`: "networkx" (network
+    #: simplex), "scipy" (HiGHS) or "auto" (picks by LP size).
     flow_backend: str = "auto"
-    #: Seed each D-phase solve with the previous iteration's basis
-    #: (backends that cannot warm-start silently solve cold).  Exact:
-    #: warm and cold solves reach the same optimum.
-    warm_start: bool = True
     #: W-phase relaxation engine: "vectorized" (level-blocked kernel,
     #: :mod:`repro.sizing.kernels`) or "scalar" (per-vertex reference
     #: loop).  Identical iterates; the kernel is just faster.
@@ -125,10 +117,7 @@ class MinfloOptions:
                 f"unknown sizing kernel {self.kernel!r}; "
                 f"pick from {SMP_ENGINES}"
             )
-        if self.flow_backend != "auto":
-            from repro.flow.registry import get_backend
-
-            get_backend(self.flow_backend)  # fail fast on typos
+        check_backend(self.flow_backend)
 
 
 def minflotransit(
@@ -201,7 +190,6 @@ def minflotransit(
     # feeds it only the delay diff (W-phase cone, or the revert diff
     # after a rejected step), never a full re-analysis.
     inc = IncrementalTimer(dag, dag.model.delays(x))
-    warm = None
     phase_seconds = {
         "timing": 0.0, "balance": 0.0, "d_phase": 0.0, "w_phase": 0.0,
     }
@@ -239,11 +227,9 @@ def minflotransit(
                 min_dd,
                 max_dd,
                 backend=options.flow_backend,
-                warm_start=warm if options.warm_start else None,
             )
             d_span.set(backend=dres.backend)
         phase_seconds["d_phase"] += d_span.duration_s
-        warm = dres.warm_basis
         budgets = delays + dres.delta_d
 
         with span("minflo.w_phase", iteration=iteration) as w_span:
@@ -262,7 +248,6 @@ def minflotransit(
         improved = area < best_area * (1 - 1e-12)
         accepted = timing_ok and improved
 
-        fstats = dres.stats
         records.append(
             IterationRecord(
                 iteration=iteration,
@@ -278,9 +263,6 @@ def minflotransit(
                     if timing_updates
                     else 0.0
                 ),
-                warm_start=bool(getattr(fstats, "warm_solves", 0)),
-                augmentations=int(getattr(fstats, "augmentations", 0)),
-                supply_routed=float(getattr(fstats, "supply_routed", 0.0)),
                 w_sweeps=wres.sweeps,
                 kernel=wres.engine,
             )

@@ -15,8 +15,7 @@ class IterationRecord:
 
     The telemetry fields trace where the iteration spent its work: the
     timing cone the incremental engine actually re-propagated (against
-    a full-STA equivalent of 1.0) and the flow solver's warm-start
-    reuse (see :class:`repro.flow.registry.SolveStats`).
+    a full-STA equivalent of 1.0) and the W-phase relaxation sweeps.
     """
 
     iteration: int
@@ -30,13 +29,6 @@ class IterationRecord:
     repropagated_vertices: int = 0
     #: ``repropagated / full-pass equivalent``; 1.0 means no savings.
     cone_fraction: float = 1.0
-    #: Whether the D-phase flow solve started from the previous basis.
-    warm_start: bool = False
-    #: Augmenting paths the D-phase flow solve pushed.
-    augmentations: int = 0
-    #: Supply units the flow solve routed (warm solves route only the
-    #: divergence gap left by the reused basis).
-    supply_routed: float = 0.0
     #: SMP relaxation sweeps the W-phase took this iteration.
     w_sweeps: int = 0
     #: W-phase relaxation engine ("vectorized" level-blocked kernel or

@@ -134,9 +134,6 @@ def result_to_dict(result: SizingResult, dag: SizingDag | None = None) -> dict:
                 "backend": rec.backend,
                 "repropagated_vertices": rec.repropagated_vertices,
                 "cone_fraction": rec.cone_fraction,
-                "warm_start": rec.warm_start,
-                "augmentations": rec.augmentations,
-                "supply_routed": rec.supply_routed,
                 "w_sweeps": rec.w_sweeps,
                 "kernel": rec.kernel,
             }
@@ -202,9 +199,6 @@ def result_from_dict(payload: dict) -> SizingResult:
                 # Telemetry fields postdate schema v1 documents.
                 repropagated_vertices=rec.get("repropagated_vertices", 0),
                 cone_fraction=rec.get("cone_fraction", 1.0),
-                warm_start=rec.get("warm_start", False),
-                augmentations=rec.get("augmentations", 0),
-                supply_routed=rec.get("supply_routed", 0.0),
                 w_sweeps=rec.get("w_sweeps", 0),
                 kernel=rec.get("kernel", ""),
             )

@@ -179,12 +179,21 @@ class TestResultCacheOverBackends:
             assert len(cache) == 1 and cache.scan() == [KEY_A]
 
     def test_layout_version_mismatch_is_a_miss(self, tmp_path):
+        # Layout 1 payloads carry the retired native flow engines'
+        # counters; replaying one would return telemetry no solve makes.
+        layout_1 = {
+            "kind": "sizing",
+            "result": None,
+            "flow_stats": {"ssp": {"backend": "ssp", "augmentations": 12}},
+        }
         for spec in self._specs(tmp_path):
             cache = ResultCache(spec)
             cache.backend.put(KEY_A, {
                 "cache_layout": CACHE_LAYOUT_VERSION + 1,
                 "payload": {"stale": True},
             })
+            assert cache.get(KEY_A) is None
+            cache.backend.put(KEY_A, {"cache_layout": 1, "payload": layout_1})
             assert cache.get(KEY_A) is None
 
     def test_corrupt_disk_entry_through_result_cache(self, tmp_path):

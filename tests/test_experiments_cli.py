@@ -159,6 +159,23 @@ class TestCli:
                      "--flow-backend", "warp-drive"]) == 2
         assert "unknown flow backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["ssp", "ssp-legacy", "cplex"])
+    @pytest.mark.parametrize("command", [
+        ["size", "c17", "--spec", "0.6"],
+        ["campaign", "run", "--circuits", "c17", "--no-cache"],
+        ["table1", "--tier", "smoke"],
+    ])
+    def test_unknown_backend_is_a_usage_error(self, capsys, command, name):
+        """Rejected while parsing: exit 2, an error line and no work
+        (every command prints to stdout once it starts sizing)."""
+        from repro.__main__ import main
+
+        assert main([*command, "--flow-backend", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown flow backend {name!r}" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_suite_json(self, capsys):
         import json
 

@@ -1,55 +1,33 @@
 """Tests for the min-cost flow substrate and the LP duality layer."""
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 from repro.errors import FlowError, InfeasibleFlowError
 from repro.flow import (
+    BACKENDS,
     DifferenceConstraintLP,
     FlowProblem,
     SolveStats,
     check_flow_feasible,
     check_flow_optimal,
-    get_backend,
     ground_flow,
     integerize_supplies,
     integerize_values,
-    registered_backends,
-    select_backend,
     solve_difference_lp,
-    solve_ssp,
-    solve_ssp_reference,
     solver_statistics,
 )
+from repro.flow.duality import BACKEND_CHOICES, NETWORK_SIMPLEX_MAX_CONSTRAINTS
 
-BACKENDS = ("ssp", "ssp-legacy", "networkx", "scipy")
 
+class TestFlowCertificates:
+    """:mod:`repro.flow.verify` on flows from the network-simplex oracle."""
 
-class TestSspSolver:
-    def test_single_path(self):
-        problem = FlowProblem(n_nodes=3)
-        problem.add_arc(0, 1, cost=2.0)
-        problem.add_arc(1, 2, cost=3.0)
-        problem.add_supply(0, 4.0)
-        problem.add_supply(2, -4.0)
-        solution = solve_ssp(problem)
-        assert solution.total_cost == pytest.approx(20.0)
-        check_flow_optimal(solution)
-
-    def test_chooses_cheaper_route(self):
-        problem = FlowProblem(n_nodes=4)
-        problem.add_arc(0, 1, cost=1.0)
-        problem.add_arc(1, 3, cost=1.0)
-        problem.add_arc(0, 2, cost=5.0)
-        problem.add_arc(2, 3, cost=5.0)
-        problem.add_supply(0, 2.0)
-        problem.add_supply(3, -2.0)
-        solution = solve_ssp(problem)
-        assert solution.total_cost == pytest.approx(4.0)
-        assert solution.flow[0] == pytest.approx(2.0)
-        assert solution.flow[2] == pytest.approx(0.0)
-
-    def test_capacity_forces_split(self):
+    def test_capacity_forces_split(self, network_simplex):
         problem = FlowProblem(n_nodes=4)
         problem.add_arc(0, 1, cost=1.0, capacity=1.0)
         problem.add_arc(1, 3, cost=1.0)
@@ -57,87 +35,41 @@ class TestSspSolver:
         problem.add_arc(2, 3, cost=5.0)
         problem.add_supply(0, 2.0)
         problem.add_supply(3, -2.0)
-        solution = solve_ssp(problem)
+        solution = network_simplex(problem)
         assert solution.total_cost == pytest.approx(2.0 + 10.0)
         check_flow_optimal(solution)
 
-    def test_infeasible_raises(self):
-        problem = FlowProblem(n_nodes=3)
-        problem.add_arc(0, 1, cost=1.0)
-        # No arc into node 2 but it demands flow.
-        problem.add_supply(0, 1.0)
-        problem.add_supply(2, -1.0)
-        with pytest.raises(InfeasibleFlowError):
-            solve_ssp(problem)
-
-    def test_unbalanced_supplies_rejected(self):
-        problem = FlowProblem(n_nodes=2)
-        problem.add_arc(0, 1, cost=1.0)
-        problem.add_supply(0, 2.0)
-        problem.add_supply(1, -1.0)
-        with pytest.raises(FlowError, match="balance"):
-            solve_ssp(problem)
-
-    def test_negative_cost_requires_flag(self):
-        problem = FlowProblem(n_nodes=2)
-        problem.add_arc(0, 1, cost=-1.0)
-        problem.add_supply(0, 1.0)
-        problem.add_supply(1, -1.0)
-        with pytest.raises(FlowError, match="negative"):
-            solve_ssp(problem)
-        solution = solve_ssp(problem, allow_negative=True)
-        assert solution.total_cost == pytest.approx(-1.0)
-
-    def test_potentials_certify_optimality(self):
+    def test_potentials_certify_optimality(self, network_simplex):
         rng = np.random.default_rng(8)
         for trial in range(5):
             problem = _random_instance(rng, n=12, arcs=36)
-            solution = solve_ssp(problem)
+            solution = network_simplex(problem)
             check_flow_optimal(solution)
 
-    def test_array_engine_matches_reference(self):
-        rng = np.random.default_rng(17)
-        for trial in range(6):
-            problem = _random_instance(rng, n=14, arcs=44)
-            fast = solve_ssp(problem)
-            slow = solve_ssp_reference(problem)
-            assert fast.total_cost == pytest.approx(slow.total_cost)
-            check_flow_optimal(fast)
-            check_flow_optimal(slow)
-
-    def test_many_parallel_arcs_need_many_rounds(self):
-        # Regression: each round saturates one tight parallel arc, so
-        # the round count scales with arcs, not nodes; the runaway
-        # guard must not trip on legitimate arc-dense instances.
-        problem = FlowProblem(n_nodes=2)
-        for cost in range(100):
-            problem.add_arc(0, 1, cost=float(cost), capacity=1.0)
-        problem.add_supply(0, 100.0)
-        problem.add_supply(1, -100.0)
-        solution = solve_ssp(problem)
-        assert solution.total_cost == pytest.approx(sum(range(100)))
-        check_flow_optimal(solution)
-
-    def test_array_engine_reports_stats(self):
-        problem = FlowProblem(n_nodes=3)
-        problem.add_arc(0, 1, cost=2.0)
-        problem.add_arc(1, 2, cost=3.0)
-        problem.add_supply(0, 4.0)
-        problem.add_supply(2, -4.0)
-        solution = solve_ssp(problem)
-        assert solution.stats is not None
-        assert solution.stats.augmentations >= 1
-        assert solution.stats.sp_rounds >= 1
-
-    def test_feasibility_checker_catches_bad_flow(self):
+    def test_feasibility_checker_catches_bad_flow(self, network_simplex):
         problem = FlowProblem(n_nodes=2)
         problem.add_arc(0, 1, cost=1.0)
         problem.add_supply(0, 1.0)
         problem.add_supply(1, -1.0)
-        solution = solve_ssp(problem)
+        solution = network_simplex(problem)
         solution.flow[0] = 5.0  # corrupt
         with pytest.raises(FlowError, match="conservation"):
             check_flow_feasible(solution)
+
+    def test_optimality_checker_catches_costly_flow(self, network_simplex):
+        problem = FlowProblem(n_nodes=4)
+        problem.add_arc(0, 1, cost=1.0)
+        problem.add_arc(1, 3, cost=1.0)
+        problem.add_arc(0, 2, cost=5.0)
+        problem.add_arc(2, 3, cost=5.0)
+        problem.add_supply(0, 2.0)
+        problem.add_supply(3, -2.0)
+        solution = network_simplex(problem)
+        assert solution.flow.tolist() == [2.0, 2.0, 0.0, 0.0]
+        solution.flow[:] = [0.0, 0.0, 2.0, 2.0]  # feasible, not cheapest
+        check_flow_feasible(solution)
+        with pytest.raises(FlowError, match="not optimal"):
+            check_flow_optimal(solution)
 
 
 def _random_instance(rng, n=10, arcs=30) -> FlowProblem:
@@ -205,8 +137,21 @@ class TestDifferenceLP:
 
     def test_unknown_backend(self):
         lp = self._small_lp()
-        with pytest.raises(FlowError, match="backend"):
-            solve_difference_lp(lp, backend="cplex")
+        for name in ("ssp", "ssp-legacy", "cplex"):
+            with pytest.raises(FlowError, match="unknown flow backend"):
+                solve_difference_lp(lp, backend=name)
+
+    def test_flow_dual_is_certified(self, network_simplex):
+        """The paper's dual: network simplex on ``ground_flow(lp)`` is a
+        certified min-cost flow whose cost is the LP optimum."""
+        rng = np.random.default_rng(9)
+        for trial in range(4):
+            lp = _random_lp(rng, n=14)
+            flow = network_simplex(ground_flow(lp).problem)
+            check_flow_feasible(flow)
+            check_flow_optimal(flow)
+            primal = solve_difference_lp(lp, backend="scipy")
+            assert flow.total_cost == pytest.approx(primal.objective, rel=1e-9)
 
     def test_ground_flow_balances(self):
         lp = self._small_lp()
@@ -236,52 +181,38 @@ def _random_lp(rng, n=12) -> DifferenceConstraintLP:
     return lp
 
 
+def _chain_lp(n_constraints: int) -> DifferenceConstraintLP:
+    """A bounded LP with exactly ``n_constraints`` constraints."""
+    n = n_constraints // 2 + 1
+    lp = DifferenceConstraintLP(
+        n_nodes=n, weights=np.ones(n), pinned=frozenset({0})
+    )
+    for v in range(1, n):
+        lp.add(v, v - 1, 1.0)
+        lp.add(v - 1, v, 1.0)
+    if n_constraints % 2:
+        lp.add(n - 1, 0, float(n))
+    assert len(lp.constraints) == n_constraints
+    return lp
+
+
 class TestBackendRegistry:
+    """The two solvers, the ``auto`` size rule and the solve counters."""
+
     def test_canonical_backends_registered(self):
-        names = {backend.name for backend in registered_backends()}
-        assert {"ssp", "ssp-legacy", "networkx", "scipy"} <= names
-
-    def test_get_backend_unknown_name(self):
-        with pytest.raises(FlowError, match="registered"):
-            get_backend("cplex")
-
-    def test_auto_selection_prefers_native_on_small_instances(self):
-        assert select_backend(n_constraints=10).name == "ssp"
+        assert BACKENDS == ("networkx", "scipy")
+        assert BACKEND_CHOICES == ("auto", "networkx", "scipy")
 
     def test_auto_selection_respects_size_caps(self):
-        big = select_backend(n_constraints=1_000_000)
-        cap = big.capabilities.max_constraints
-        assert cap is None or cap >= 1_000_000
-
-    def test_auto_selection_falls_back_when_deps_missing(self):
-        # Regression: with every in-cap backend unavailable (no scipy
-        # on a big instance), auto must fall back to an available
-        # backend instead of refusing to solve.
-        from dataclasses import replace as dc_replace
-
-        from repro.flow import register_backend
-
-        originals = {
-            name: get_backend(name) for name in ("scipy", "networkx")
-        }
-        try:
-            for name, backend in originals.items():
-                register_backend(
-                    dc_replace(backend, available=lambda: False)
-                )
-            chosen = select_backend(n_constraints=30_000)
-            assert chosen.name == "ssp"
-        finally:
-            for backend in originals.values():
-                register_backend(backend)
-
-    def test_capability_metadata(self):
-        ssp = get_backend("ssp")
-        assert ssp.capabilities.native
-        assert ssp.capabilities.returns_duals
-        assert ssp.capabilities.exact_integer
-        scipy_backend = get_backend("scipy")
-        assert not scipy_backend.capabilities.native
+        cap = NETWORK_SIMPLEX_MAX_CONSTRAINTS
+        assert cap == 128
+        small = solve_difference_lp(_chain_lp(cap))
+        large = solve_difference_lp(_chain_lp(cap + 1))
+        assert small.backend == "networkx"
+        assert large.backend == "scipy"
+        assert small.objective == pytest.approx(
+            solve_difference_lp(_chain_lp(cap), backend="scipy").objective
+        )
 
     def test_stats_recorded_on_every_solve(self):
         lp = DifferenceConstraintLP(
@@ -293,15 +224,39 @@ class TestBackendRegistry:
         lp.add(0, 2, 1.0)
         lp.add(1, 2, 3.0)
         lp.add(2, 0, 0.0)
-        before = solver_statistics().get("ssp")
+        before = solver_statistics().get("networkx")
         solves_before = before.solves if before else 0
-        solution = solve_difference_lp(lp, backend="ssp")
+        solution = solve_difference_lp(lp, backend="networkx")
         assert isinstance(solution.stats, SolveStats)
-        assert solution.stats.backend == "ssp"
+        assert solution.stats.backend == "networkx"
         assert solution.stats.n_arcs == 4
         assert solution.stats.wall_time_s >= 0.0
-        after = solver_statistics()["ssp"]
+        after = solver_statistics()["networkx"]
         assert after.solves == solves_before + 1
+
+
+@pytest.mark.slow
+class TestSolverImports:
+    """Each job imports only the solver its LPs need."""
+
+    @pytest.mark.parametrize("circuit, spec, absent", [
+        ("c432eq", 0.5, "networkx"),
+        ("c17", 0.6, "scipy.optimize"),
+    ])
+    def test_job_leaves_other_solver_unimported(self, circuit, spec, absent):
+        script = textwrap.dedent(f"""
+            import sys
+            from repro.runner import Job, run_one
+            outcome = run_one(Job(circuit={circuit!r}, delay_spec={spec}),
+                              cache=None)
+            assert outcome.status == "ok", outcome.status
+            print({absent!r} in sys.modules)
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestIntegerizePolicy:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import errors
-from repro.flow import Arc, FlowProblem, solve_ssp
+from repro.flow import Arc, FlowProblem
 from repro.flow.verify import check_flow_optimal
 
 
@@ -34,23 +34,24 @@ class TestFlowProblem:
         problem.add_supply(2, -5.0)
         assert problem.total_positive_supply == pytest.approx(5.0)
 
-    def test_zero_supply_trivial_solve(self):
+    def test_zero_supply_trivial_solve(self, network_simplex):
         problem = FlowProblem(n_nodes=2)
         problem.add_arc(0, 1, cost=3.0)
-        solution = solve_ssp(problem)
+        solution = network_simplex(problem)
         assert solution.total_cost == 0.0
         check_flow_optimal(solution)
 
-    def test_parallel_arcs_allowed(self):
+    def test_parallel_arcs_allowed(self, network_simplex):
         problem = FlowProblem(n_nodes=2)
         problem.add_arc(0, 1, cost=5.0)
         problem.add_arc(0, 1, cost=1.0)
         problem.add_supply(0, 2.0)
         problem.add_supply(1, -2.0)
-        solution = solve_ssp(problem)
+        solution = network_simplex(problem)
         # All flow takes the cheap copy.
         assert solution.flow[1] == pytest.approx(2.0)
         assert solution.flow[0] == pytest.approx(0.0)
+        check_flow_optimal(solution)
 
 
 class TestErrorHierarchy:

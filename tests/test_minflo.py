@@ -10,8 +10,10 @@ import pytest
 
 from repro.circuit import CircuitBuilder
 from repro.dag import build_sizing_dag
-from repro.errors import InfeasibleTimingError, SizingError
+from repro.errors import FlowError, InfeasibleTimingError, SizingError
+from repro.flow import BACKENDS
 from repro.generators import build_circuit, ripple_carry_adder
+from repro.runner.spec import resolve_circuit
 from repro.sizing import MinfloOptions, minflotransit, tilos_size
 from repro.timing import analyze
 
@@ -75,8 +77,11 @@ class TestMinflotransit:
             MinfloOptions(alpha=0.0)
         with pytest.raises(SizingError):
             MinfloOptions(max_iterations=0)
+        for name in ("ssp", "ssp-legacy", "cplex"):
+            with pytest.raises(FlowError, match="unknown flow backend"):
+                MinfloOptions(flow_backend=name)
 
-    @pytest.mark.parametrize("backend", ["ssp", "ssp-legacy", "networkx", "scipy"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_backends_give_comparable_area(self, c17_gate_dag, backend):
         dag = c17_gate_dag
         dmin = analyze(dag, dag.min_sizes()).critical_path_delay
@@ -85,6 +90,28 @@ class TestMinflotransit:
         )
         assert result.meets_target
         assert result.area_saving_vs_initial >= 0.0
+
+    @pytest.mark.parametrize("circuit, mode, ratio", [
+        ("c17", "gate", 0.5),
+        ("c17", "transistor", 0.55),
+        ("rca:3", "gate", 0.5),
+    ])
+    def test_backends_give_identical_sizes(self, tech, circuit, mode, ratio):
+        """On instances whose LPs ``auto`` sends to network simplex,
+        HiGHS reaches the very same sizes."""
+        dag = build_sizing_dag(resolve_circuit(circuit), tech, mode=mode)
+        target = ratio * analyze(dag, dag.min_sizes()).critical_path_delay
+        results = {
+            backend: minflotransit(
+                dag, target, MinfloOptions(flow_backend=backend)
+            )
+            for backend in ("auto", *BACKENDS)
+        }
+        assert {rec.backend for rec in results["auto"].iterations} == {
+            "networkx"
+        }
+        assert np.array_equal(results["networkx"].x, results["scipy"].x)
+        assert np.array_equal(results["auto"].x, results["networkx"].x)
 
     def test_balancing_variants(self, c17_gate_dag):
         dag = c17_gate_dag

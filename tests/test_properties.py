@@ -24,11 +24,7 @@ from hypothesis import strategies as st
 from repro.balancing import balance, verify_configuration
 from repro.circuit import Circuit
 from repro.dag import build_sizing_dag
-from repro.flow import (
-    DifferenceConstraintLP,
-    registered_backends,
-    solve_difference_lp,
-)
+from repro.flow import BACKENDS, DifferenceConstraintLP, solve_difference_lp
 from repro.generators import random_logic
 from repro.runner.cache import job_key
 from repro.runner.corpus import WarmSession
@@ -175,10 +171,9 @@ class TestFlowProperties:
             if u != v:
                 lp.add(int(u), int(v), float(rng.integers(0, 10)))
         results = {
-            backend.name: solve_difference_lp(lp, backend=backend.name)
-            for backend in registered_backends()
+            backend: solve_difference_lp(lp, backend=backend)
+            for backend in BACKENDS
         }
-        assert len(results) >= 4  # ssp, ssp-legacy, networkx, scipy
         objectives = [sol.objective for sol in results.values()]
         scale = 1.0 + max(abs(v) for v in objectives)
         assert max(objectives) - min(objectives) <= 1e-6 * scale
@@ -432,12 +427,9 @@ def sizing_results(draw):
             predicted_gain=draw(_FINITE),
             alpha=draw(_FRACTION),
             accepted=draw(st.booleans()),
-            backend=draw(st.sampled_from(["ssp", "scipy", "networkx"])),
+            backend=draw(st.sampled_from(BACKENDS)),
             repropagated_vertices=draw(st.integers(0, 500)),
             cone_fraction=draw(_FRACTION),
-            warm_start=draw(st.booleans()),
-            augmentations=draw(st.integers(0, 100)),
-            supply_routed=draw(_FINITE),
             w_sweeps=draw(st.integers(0, 50)),
             kernel=draw(st.sampled_from(["scalar", "vectorized"])),
         )

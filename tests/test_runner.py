@@ -6,7 +6,7 @@ import pytest
 
 from repro import runner
 from repro.errors import RunnerError
-from repro.flow.registry import (
+from repro.flow.duality import (
     SolveStats,
     record_stats,
     reset_solver_statistics,
@@ -40,12 +40,12 @@ class TestSpec:
             name="m",
             circuits=("c17", "c432eq"),
             delay_specs=(0.5, 0.6),
-            flow_backends=("ssp", "auto"),
+            flow_backends=("networkx", "auto"),
         )
         jobs = spec.jobs()
         assert len(jobs) == 8
         assert jobs == spec.jobs()  # stable across expansions
-        assert jobs[0].circuit == "c17" and jobs[0].flow_backend == "ssp"
+        assert jobs[0].circuit == "c17" and jobs[0].flow_backend == "networkx"
         assert jobs[-1].circuit == "c432eq" and jobs[-1].delay_spec == 0.6
 
     def test_empty_delay_specs_use_suite_defaults(self):
@@ -62,12 +62,21 @@ class TestSpec:
         with pytest.raises(RunnerError, match="kind"):
             Job(circuit="c17", delay_spec=0.5, kind="quantum")
 
+    @pytest.mark.parametrize("name", ["ssp", "ssp-legacy", "cplex"])
+    def test_unknown_flow_backend_rejected_at_build(self, name):
+        with pytest.raises(RunnerError, match="unknown flow backend"):
+            Job(circuit="c17", delay_spec=0.6, flow_backend=name)
+        with pytest.raises(RunnerError, match="unknown flow backend"):
+            CampaignSpec(
+                name="t", circuits=("c17",), flow_backends=("auto", name)
+            )
+
     def test_spec_round_trips_through_dict(self):
         spec = CampaignSpec(
             name="rt",
             circuits=("c17",),
             delay_specs=(0.7,),
-            options=normalize_options({"warm_start": False}),
+            options=normalize_options({"kernel": "scalar"}),
         )
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
         job = spec.jobs()[0]
@@ -81,10 +90,10 @@ class TestSpec:
         job = Job(
             circuit="c17",
             delay_spec=0.5,
-            options=normalize_options({"warm_start": False, "alpha": 0.1}),
+            options=normalize_options({"kernel": "scalar", "alpha": 0.1}),
         )
         options = job.minflo_options()
-        assert options.warm_start is False
+        assert options.kernel == "scalar"
         assert options.alpha == pytest.approx(0.1)
 
     def test_tier_preset_matches_env(self, monkeypatch):
@@ -109,7 +118,7 @@ class TestCache:
         assert job_key(j1) == job_key(Job(circuit="c17", delay_spec=0.6))
         assert job_key(j1) != job_key(Job(circuit="c17", delay_spec=0.7))
         assert job_key(j1) != job_key(
-            Job(circuit="c17", delay_spec=0.6, flow_backend="ssp")
+            Job(circuit="c17", delay_spec=0.6, flow_backend="networkx")
         )
 
     def test_put_get_roundtrip(self, tmp_path):
@@ -329,22 +338,22 @@ class TestStatsScope:
         reset_solver_statistics()
 
     def test_scope_isolates_and_restores(self):
-        record_stats(SolveStats(backend="outer", augmentations=3))
+        record_stats(SolveStats(backend="outer", solves=3))
         with stats_scope() as scoped:
-            record_stats(SolveStats(backend="inner", augmentations=5))
+            record_stats(SolveStats(backend="inner", solves=5))
         assert set(scoped) == {"inner"}
-        assert scoped["inner"].augmentations == 5
+        assert scoped["inner"].solves == 5
         totals = solver_statistics()
-        assert totals["outer"].augmentations == 3
-        assert totals["inner"].augmentations == 5
+        assert totals["outer"].solves == 3
+        assert totals["inner"].solves == 5
 
     def test_nested_scopes(self):
         with stats_scope() as outer:
-            record_stats(SolveStats(backend="a", augmentations=1))
+            record_stats(SolveStats(backend="a", solves=1))
             with stats_scope() as inner:
-                record_stats(SolveStats(backend="a", augmentations=9))
-            assert inner["a"].augmentations == 9
-        assert outer["a"].augmentations == 10
+                record_stats(SolveStats(backend="a", solves=9))
+            assert inner["a"].solves == 9
+        assert outer["a"].solves == 10
 
 
 class TestCampaignCli:
@@ -417,8 +426,8 @@ class TestCampaignCli:
         from repro.experiments.table1 import campaign_spec
 
         assert campaign_spec("smoke") == tier_preset("smoke")
-        assert campaign_spec("paper", "ssp") == tier_preset(
-            "paper", flow_backend="ssp"
+        assert campaign_spec("paper", "scipy") == tier_preset(
+            "paper", flow_backend="scipy"
         )
 
     def test_figure7_panel_replays_from_cache(self, tmp_path, monkeypatch):

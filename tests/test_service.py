@@ -245,6 +245,9 @@ class TestErrors:
         ({"circuit": "c17", "dela_spec": 0.5}, "unknown request field"),
         ({"circuit": "no-such-circuit"}, "cannot resolve circuit"),
         ({"bench": "y = FROB(a)\n"}, "invalid 'bench'"),
+        ({"circuit": "c17", "flow_backend": "ssp"}, "unknown flow"),
+        ({"circuit": "c17", "flow_backend": "ssp-legacy"}, "unknown flow"),
+        ({"circuit": "c17", "flow_backend": "cplex"}, "unknown flow"),
     ])
     def test_malformed_bodies_get_400(self, live, body, fragment):
         with pytest.raises(ServiceError) as err:
@@ -297,14 +300,16 @@ class TestDiscovery:
         ]
 
     def test_backends_reflect_the_registry(self, live):
-        from repro.flow.registry import registered_backends
+        from repro.flow.duality import (
+            BACKENDS,
+            NETWORK_SIMPLEX_MAX_CONSTRAINTS,
+        )
 
         body = live.client.backends()
-        assert [b["name"] for b in body["backends"]] == [
-            b.name for b in registered_backends()
-        ]
-        ssp = next(b for b in body["backends"] if b["name"] == "ssp")
-        assert ssp["capabilities"]["supports_warm_start"] is True
+        assert [b["name"] for b in body["backends"]] == list(BACKENDS)
+        assert body["auto_network_simplex_max_constraints"] == (
+            NETWORK_SIMPLEX_MAX_CONSTRAINTS
+        )
 
     def test_stats_account_for_work(self, live):
         live.client.size(circuit="c17", delay_spec=0.6)
