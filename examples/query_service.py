@@ -39,8 +39,8 @@ def main() -> None:
 
     with ServiceClient(f"http://{host}:{port}", client_id="demo") as client:
         print(f"service up at http://{host}:{port}")
-        print(f"health: {client.healthz()['status']} "
-              f"(mode {client.healthz()['mode']})")
+        health = client.healthz()
+        print(f"health: {health['status']} ({health['workers']} worker)")
         suite = client.circuits()["circuits"]
         backends = [b["name"] for b in client.backends()["backends"]]
         print(f"discovery: {len(suite)} suite circuits, backends {backends}")

@@ -9,7 +9,7 @@ Commands
 ``campaign``  run/resume/inspect a parallel sizing campaign (run log +
               content-addressed result cache; see ``campaign --help``)
 ``serve``     run the JSON-over-HTTP sizing service (``repro.service``)
-``queue``     inspect/requeue a fleet queue's dead-letter jobs
+``queue``     inspect/requeue a service queue's dead-letter jobs
 ``trace``     render a trace.jsonl span tree as a per-job waterfall
 ``table1``    regenerate the paper's Table 1 (alias of experiments.table1)
 ``figure7``   regenerate the paper's Figure 7 (alias of experiments.figure7)
@@ -500,17 +500,19 @@ def _add_serve_parser(sub) -> None:
                          help="disable the result cache entirely")
     p_serve.add_argument("--run-dir", default=None,
                          help="directory for the restart-surviving "
-                              "service.jsonl job log and spooled netlists")
+                              "queue.db job store (unless --queue names "
+                              "one), trace.jsonl and spooled netlists")
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="per-request wall-time budget in seconds")
     p_serve.add_argument("--queue", default=None,
-                         help="shared work-queue database; replicas given "
-                              "the same path form one fleet")
+                         help="work-queue database (default "
+                              "RUN_DIR/queue.db, or a temporary file "
+                              "without --run-dir); replicas given the "
+                              "same path form one fleet")
     p_serve.add_argument("--batch-drain", type=int, default=None,
-                         help="queue mode only: lease up to this many "
-                              "records per drain and fuse compatible "
-                              "batchable jobs (kind wphase) into one "
-                              "stacked kernel call")
+                         help="lease up to this many records per drain "
+                              "and fuse compatible batchable jobs (kind "
+                              "wphase) into one stacked kernel call")
     p_serve.add_argument("--max-queue-depth", type=int, default=None,
                          help="reject new jobs (429) once this many are "
                               "queued or running (default: unbounded)")
@@ -532,13 +534,13 @@ def _add_serve_parser(sub) -> None:
                               "append to RUN_DIR/trace.jsonl")
     p_serve.add_argument("--visibility-timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="queue mode: lease duration before a dead "
-                              "replica's in-flight jobs are re-claimed "
-                              "(default 600)")
+                         help="lease duration before a dead worker's "
+                              "in-flight jobs are re-claimed, also after "
+                              "a restart (default 600)")
     p_serve.add_argument("--max-attempts", type=int, default=None,
-                         help="queue mode: lease attempts before a job "
-                              "is poison-parked in the dead-letter "
-                              "queue (default 3)")
+                         help="lease attempts before a job is "
+                              "poison-parked in the dead-letter queue "
+                              "(default 3)")
     _add_fault_flags(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
@@ -708,8 +710,9 @@ def _cmd_queue_requeue(args: argparse.Namespace) -> int:
 def _add_queue_parser(sub) -> None:
     p_queue = sub.add_parser(
         "queue",
-        help="inspect/requeue a fleet queue's dead-letter jobs",
-        description="Operator tools for a fleet work-queue database: "
+        help="inspect/requeue a service queue's dead-letter jobs",
+        description="Operator tools for a service work-queue database "
+                    "(RUN_DIR/queue.db, or the serve --queue path): "
                     "list permanently failed jobs with their attempt "
                     "history, and send them back to the queue after "
                     "fixing the cause.",

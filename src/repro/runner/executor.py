@@ -469,7 +469,7 @@ def _watchdog_timeout(fn, timeout: float):
     """Portable wall-time budget: run ``fn`` in a daemon thread.
 
     The fallback for platforms without ``SIGALRM`` and for calls off
-    the main thread (queue-mode drain threads, embeddings).  On expiry
+    the main thread (service drain threads, embeddings).  On expiry
     the *caller* gets :class:`JobTimeoutError` immediately; the
     abandoned thread cannot be killed (CPython has no thread cancel)
     and is left to finish in the background — its result is discarded.
@@ -505,7 +505,7 @@ def _with_timeout(fn, timeout: float | None):
 
     On a POSIX main thread the budget is ``SIGALRM``/``setitimer`` —
     it interrupts even a wedged C call.  Everywhere else (non-unix
-    platforms, queue-mode drain threads executing inline) the budget
+    platforms, service drain threads executing inline) the budget
     is a watchdog thread (:func:`_watchdog_timeout`), so a timeout is
     *always* enforced rather than silently skipped.
     """

@@ -7,16 +7,18 @@ instead of batch-only.  This package is that process:
 
 * :mod:`repro.service.app` — :class:`SizingService`: request
   validation into campaign :class:`~repro.runner.spec.Job` records,
-  cache probe/store, bounded worker pool.  One execution path shared
-  with ``python -m repro campaign`` (see
+  cache probe/store, drain workers over a bounded worker pool.  One
+  execution path shared with ``python -m repro campaign`` (see
   :func:`repro.runner.executor.run_one`), so service answers are
   byte-identical to CLI answers.
+* :mod:`repro.service.queue` — the one job store: a durable sqlite
+  :class:`~repro.service.queue.WorkQueue` in the run directory (or
+  shared by a fleet via ``--queue``) that every request enters and
+  every drain worker leases from; job history survives restarts.
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer``
   front end (``POST /v1/size``, ``GET /v1/jobs/<id>``, discovery,
   health, stats) and :func:`serve`, the ``python -m repro serve``
   entry point.
-* :mod:`repro.service.jobs` — the job registry with its
-  restart-surviving ``service.jsonl`` append log.
 * :mod:`repro.service.client` — the stdlib client used by the tests,
   CI and ``examples/query_service.py``.
 
@@ -27,7 +29,7 @@ layers onto this surface.
 
 from repro.service.app import SizingService, build_job
 from repro.service.client import ServiceClient
-from repro.service.jobs import JobRecord, JobStore
+from repro.service.queue import JobRecord, WorkQueue
 from repro.service.server import (
     WIRE_SCHEMA,
     SizingHTTPServer,
@@ -37,11 +39,11 @@ from repro.service.server import (
 
 __all__ = [
     "JobRecord",
-    "JobStore",
     "ServiceClient",
     "SizingHTTPServer",
     "SizingService",
     "WIRE_SCHEMA",
+    "WorkQueue",
     "build_job",
     "make_server",
     "serve",

@@ -13,28 +13,27 @@ byte-identical to ``python -m repro size`` / ``campaign run`` for the
 same (netlist, technology, options), and repeated requests are cache
 hits.
 
-Concurrency model: with ``jobs=1`` and no per-job timeout (the
-default) requests execute on one dedicated worker *thread* —
-serialized, deterministic, and cheap to start, which is what the
-tests use.  With ``jobs>1`` — or whenever a ``timeout`` is configured,
-since the ``SIGALRM`` budget can only be armed on a process's main
-thread — they run on a ``ProcessPoolExecutor``
+Dispatch: every admitted job is a row in the service's one job store,
+a durable :class:`~repro.service.queue.WorkQueue` — the ``queue``
+database when one is given, else ``queue.db`` in the run directory,
+else in a temporary directory the service removes on close.  ``jobs``
+drain threads lease rows (leasing + visibility timeout, so a job whose
+worker died — or whose service restarted — is re-claimed), execute
+them on the local pool and publish results through the queue and the
+cache.  Replicas given the same ``queue`` path drain one shared job
+stream, and any replica answers for any job.  With ``jobs=1`` and no
+per-job timeout (the default) the pool is one dedicated worker
+*thread* — serialized, deterministic, and cheap to start, which is
+what the tests use.  With ``jobs>1`` — or whenever a ``timeout`` is
+configured, since the ``SIGALRM`` budget can only be armed on a
+process's main thread — it is a ``ProcessPoolExecutor``
 (``forkserver``/``spawn`` start method, so the threaded HTTP parent
 never fork-copies its own locks), giving true parallel sizing bounded
-at ``jobs`` workers.  In both cases the HTTP layer may accept
-arbitrarily many concurrent requests; the pool is the backpressure.
-
-Fleet mode: given a ``queue`` database
-(:class:`~repro.service.queue.WorkQueue`), this service becomes one
-replica of many.  Submissions *enqueue* — into a durable, shared job
-stream — and ``jobs`` drain threads lease work from that stream
-(leasing + visibility timeout, so a crashed replica's jobs are
-re-claimed), execute it on the local pool, and publish results through
-the shared store and cache backend.  Any replica answers for any job.
-Admission control (:class:`~repro.service.admission.AdmissionController`)
-bounds the shared backlog and rate-limits individual clients in both
-modes; cache hits bypass admission, because replaying a stored result
-consumes no worker.
+at ``jobs`` workers.  The HTTP layer may accept arbitrarily many
+concurrent requests; admission control
+(:class:`~repro.service.admission.AdmissionController`) bounds the
+backlog and rate-limits individual clients, and cache hits bypass it,
+because replaying a stored result consumes no worker.
 
 Observability (:mod:`repro.obs`): every service counter lives in a
 locked :class:`~repro.obs.metrics.MetricsRegistry` — ``/v1/stats`` and
@@ -43,8 +42,8 @@ same registry, so they can never disagree.  With tracing enabled
 (default), each request runs in a trace context: submission spans
 (``service.admit``, ``cache.probe``) land in the run directory's
 ``trace.jsonl``, worker-side solver spans ship back through the result
-tuples, and in queue mode the row carries ``trace_id-root_span_id``
-so whichever replica drains the job parents its ``queue.wait`` and
+tuples, and the queued row carries ``trace_id-root_span_id`` so
+whichever replica drains the job parents its ``queue.wait`` and
 execution spans under the submitter's root — one trace id end to end.
 """
 
@@ -60,12 +59,10 @@ import threading
 import time
 from concurrent.futures import (
     BrokenExecutor,
-    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
 from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -99,8 +96,12 @@ from repro.runner.executor import (
 )
 from repro.runner.spec import Job, normalize_options
 from repro.service.admission import AdmissionController
-from repro.service.jobs import JOB_STATUSES, JobRecord, JobStore
-from repro.service.queue import MAX_ATTEMPTS, WorkQueue
+from repro.service.queue import (
+    JOB_STATUSES,
+    MAX_ATTEMPTS,
+    JobRecord,
+    WorkQueue,
+)
 
 __all__ = ["SizingService", "build_job"]
 
@@ -230,22 +231,22 @@ class SizingService:
     count (1 = one dedicated thread, >1 = a process pool), ``cache`` a
     :class:`ResultCache`, a backend spec string (``disk:`` /
     ``sqlite:`` / ``tiered:``), a path, or None; ``run_dir`` the
-    directory that receives the restart-surviving ``service.jsonl``
-    job log and spooled inline netlists; ``timeout`` the per-job
-    wall-time budget in seconds.
+    directory that receives the restart-surviving ``queue.db`` job
+    store (unless ``queue`` names another), ``trace.jsonl`` and
+    spooled inline netlists; ``timeout`` the per-job wall-time budget
+    in seconds.
 
-    Fleet parameters: ``queue`` (a path) switches job dispatch onto a
-    durable shared :class:`~repro.service.queue.WorkQueue` that other
-    replicas may also drain; ``max_queue_depth`` bounds the admitted
-    backlog; ``quota_rate``/``quota_burst`` configure per-client token
-    buckets; ``visibility_timeout`` is the lease duration after which
-    a dead replica's in-flight jobs are re-claimed; ``sync_wait`` caps
-    how long a synchronous request blocks on the queue before
-    degrading to an async 202 ticket.
+    Fleet parameters: ``queue`` (a path) names the job store's
+    database, which other replicas may also drain; ``max_queue_depth``
+    bounds the admitted backlog; ``quota_rate``/``quota_burst``
+    configure per-client token buckets; ``visibility_timeout`` is the
+    lease duration after which a dead worker's in-flight jobs are
+    re-claimed; ``sync_wait`` caps how long a synchronous request
+    blocks on the queue before degrading to an async 202 ticket.
 
-    ``batch_drain`` (queue mode only) makes each drain worker lease up
-    to that many records per round and fuse compatible batchable jobs
-    (kind ``wphase``) into one stacked kernel call
+    ``batch_drain`` makes each drain worker lease up to that many
+    records per round and fuse compatible batchable jobs (kind
+    ``wphase``) into one stacked kernel call
     (:func:`~repro.runner.executor.batch_entry`); per-job results are
     bit-identical to the single-lease loop.
 
@@ -370,44 +371,40 @@ class SizingService:
             "repro_pool_rebuilds_total",
             "Fresh worker pools swapped in after a worker process died.",
         )
-        self.queue_path = Path(queue) if queue is not None else None
-        if self.queue_path is not None:
-            self.store: JobStore | WorkQueue = WorkQueue(
-                self.queue_path,
-                visibility_timeout=visibility_timeout,
-                metrics=self.metrics,
-                max_attempts=max_attempts,
-            )
+        if self.run_dir is not None:
+            self._netlist_dir = self.run_dir / "netlists"
         else:
-            self.store = JobStore(self.run_dir)
+            # Owned by this instance: the netlist spool and the queue
+            # database live here until close() removes both.
+            self._netlist_dir = Path(tempfile.mkdtemp(prefix="repro-service-"))
+        self.store = WorkQueue(
+            queue if queue is not None
+            else (self.run_dir or self._netlist_dir) / "queue.db",
+            visibility_timeout=visibility_timeout,
+            metrics=self.metrics,
+            max_attempts=max_attempts,
+        )
         self.admission = AdmissionController(
             max_queue_depth=max_queue_depth,
             quota_rate=quota_rate,
             quota_burst=quota_burst,
             metrics=self.metrics,
         )
-        if self.run_dir is not None:
-            self._netlist_dir = self.run_dir / "netlists"
-        else:
-            self._netlist_dir = Path(
-                tempfile.mkdtemp(prefix="repro-service-netlists-")
-            )
         self._pool = self._make_pool(jobs, timeout)
         self._lock = threading.Lock()
         self._digests: dict[str, str] = {}
         self._started_at = time.time()
-        self._stop = threading.Event()
-        self._drainers: list[threading.Thread] = []
-        if self.queue_path is not None:
-            self.worker_id = f"{socket.gethostname()}:{os.getpid()}"
-            for index in range(jobs):
-                thread = threading.Thread(
-                    target=self._drain_loop,
-                    name=f"repro-service-drain-{index}",
-                    daemon=True,
-                )
-                thread.start()
-                self._drainers.append(thread)
+        self.worker_id = f"{socket.gethostname()}:{os.getpid()}"
+        self._drainers = [
+            threading.Thread(
+                target=self._drain_loop,
+                name=f"repro-service-drain-{index}",
+                daemon=True,
+            )
+            for index in range(jobs)
+        ]
+        for thread in self._drainers:
+            thread.start()
 
     @staticmethod
     def _make_pool(jobs: int, timeout: float | None):
@@ -448,9 +445,9 @@ class SizingService:
         A worker process killed mid-job (the OOM killer, a
         ``worker:kill`` fault) breaks the whole
         :class:`ProcessPoolExecutor` — without recovery every later
-        request would fail for the rest of the process lifetime.  All
-        execution paths funnel through here: one death costs one retry
-        on a fresh pool.  Retrying is safe because workers are pure
+        request would fail for the rest of the process lifetime.  Every
+        pool task funnels through here: one death costs one retry on a
+        fresh pool.  Retrying is safe because workers are pure
         compute — results are stored parent-side in :meth:`_finish`,
         so a killed attempt left no partial state behind.
         """
@@ -495,10 +492,9 @@ class SizingService:
             return nullcontext()
         return trace_scope(sink=self.trace_sink)
 
-    def _admit(
-        self, body: dict, client: str | None = None,
-    ) -> tuple[JobRecord, JobOutcome | None]:
-        """Validate + admit a request; replay it from cache if possible.
+    def _admit(self, body: dict, client: str | None = None) -> JobRecord:
+        """Validate + admit a request: a queued record, or a finished one
+        replayed from cache.
 
         Unlike a campaign (where an unresolvable circuit token becomes
         a failed job in the sweep), the service rejects it up front as
@@ -518,25 +514,23 @@ class SizingService:
                 probe_span.set(hit=hit is not None)
             if hit is None:
                 self.admission.admit(client, self.store.depth())
-        trace_ref = None
         ctx = current_trace()
-        if ctx is not None:
-            if self.queue_path is not None and hit is None:
-                # Allocate the job's lifecycle root span *here*, in the
-                # submitting replica; the row carries trace_id-root_id
-                # so whichever replica drains it parents queue-wait and
-                # execution spans under this root — one trace end to
-                # end across the fleet.
-                trace_ref = format_trace_header(ctx.trace_id, new_span_id())
-            else:
-                trace_ref = ctx.trace_id
-        record = self.store.create(job, key, client, trace=trace_ref)
         if hit is not None:
             self._m_cache_hits.inc()
-            if ctx is not None:
-                hit = replace(hit, trace_id=ctx.trace_id)
-            self.store.finish(record.id, hit)
-        return record, hit
+            return self.store.create(
+                job, key, client,
+                trace=ctx.trace_id if ctx is not None else None,
+                outcome=hit,
+            )
+        # Allocate the job's lifecycle root span *here*, in the
+        # submitting replica; the row carries trace_id-root_id so
+        # whichever replica drains it parents queue-wait and execution
+        # spans under this root — one trace end to end.
+        trace_ref = (
+            format_trace_header(ctx.trace_id, new_span_id())
+            if ctx is not None else None
+        )
+        return self.store.create(job, key, client, trace=trace_ref)
 
     def _netlist_sha(self, token: str) -> str:
         """Digest of a circuit token's netlist, memoized when immutable.
@@ -625,16 +619,12 @@ class SizingService:
         Accepts the 5-tuple of :func:`pool_entry` ``(status, payload,
         error, wall, obs)`` and the 6-tuple of :func:`batch_entry`
         (whose fifth element is the shared stacked-solve time; 0.0
-        there marks a per-job fallback, reported as unbatched).  Legacy
-        4-tuples — locally built error raws — still parse.
+        there marks a per-job fallback, reported as unbatched).
         """
         status, payload, error, wall = raw[:4]
-        if len(raw) >= 6:
-            batched_seconds, obs = raw[4], raw[5]
-        elif len(raw) == 5:
-            batched_seconds, obs = 0.0, raw[4]
-        else:
-            batched_seconds, obs = 0.0, None
+        batched_seconds, obs = (
+            (raw[4], raw[5]) if len(raw) == 6 else (0.0, raw[4])
+        )
         outcome = JobOutcome(
             index=0,
             job=record.job,
@@ -653,76 +643,28 @@ class SizingService:
     def size_sync(self, body: dict, client: str | None = None) -> JobRecord:
         """Handle a synchronous ``/v1/size``: block until the job is done.
 
-        Local mode: the calling (HTTP handler) thread waits on the
-        shared pool, so concurrent synchronous requests are naturally
-        bounded at ``jobs`` in-flight sizings.  Queue mode: the job
-        enters the shared stream like any other and this thread waits
-        for *whichever replica* drains it, up to ``sync_wait`` seconds
-        — after which the still-unfinished record is returned and the
-        HTTP layer degrades the reply to an async 202 ticket.
+        The job enters the queue like any other and this (HTTP handler)
+        thread waits for *whichever drain worker* finishes it — in this
+        replica or another — up to ``sync_wait`` seconds; after that
+        the still-unfinished record is returned and the HTTP layer
+        degrades the reply to an async 202 ticket.
         """
         with self._request_scope():
-            record, hit = self._admit(body, client)
-            if hit is not None:
-                return self.store.get(record.id)
-            if self.queue_path is not None:
-                return self._await_queued(record)
-            self.store.mark_running(record.id)
-            try:
-                raw = self._run_pooled(
-                    pool_entry, record.job, self.timeout, self._carrier(),
-                    self.warm_corpus, self._fault_args(),
-                )
-            except Exception as exc:  # pool broke twice under this job
-                raw = ("failed", None, f"{type(exc).__name__}: {exc}", 0.0)
-            outcome, obs = self._outcome_from(record, raw)
-            return self._finish(record, outcome, obs)
-
-    def _await_queued(self, record: JobRecord) -> JobRecord:
-        """Wait (bounded) for the shared queue to finish a job."""
-        deadline = time.monotonic() + self.sync_wait
-        while not record.done:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            record = self.store.wait(record.id, record.status, remaining)
-        return record
+            record = self._admit(body, client)
+            deadline = time.monotonic() + self.sync_wait
+            while not record.done:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                record = self.store.wait(record.id, record.status, remaining)
+            return record
 
     def size_async(self, body: dict, client: str | None = None) -> JobRecord:
         """Handle ``/v1/size`` with ``async=true``: queue and return."""
         with self._request_scope():
-            record, hit = self._admit(body, client)
-            if hit is not None:
-                return self.store.get(record.id)
-            if self.queue_path is not None:
-                # Queue mode: the row is already in the shared stream; a
-                # drain worker (here or in another replica) will claim
-                # it.
-                return self.store.get(record.id)
-            pool = self._pool
-            future = pool.submit(
-                pool_entry, record.job, self.timeout, self._carrier(),
-                self.warm_corpus, self._fault_args(),
-            )
-        self.store.mark_running(record.id)
+            return self._admit(body, client)
 
-        def _done(done_future: Future) -> None:
-            try:
-                raw = done_future.result()
-            except BrokenExecutor as exc:  # worker died under this job
-                self._rebuild_pool(pool)
-                raw = ("failed", None, f"{type(exc).__name__}: {exc}", 0.0)
-            except Exception as exc:  # pool broke under this job
-                raw = ("failed", None, f"{type(exc).__name__}: {exc}", 0.0)
-            outcome, obs = self._outcome_from(record, raw)
-            self._finish(record, outcome, obs)
-
-        future.add_done_callback(_done)
-        # Re-read through the store: a consistent snapshot, whether the
-        # callback already ran or the job is still queued.
-        return self.store.get(record.id)
-
-    # -- queue drain (fleet mode) --------------------------------------
+    # -- the drain workers ---------------------------------------------
 
     def _carrier(self) -> dict | None:
         """The current trace carrier to ship across the pool boundary."""
@@ -773,7 +715,7 @@ class SizingService:
         tid: str | None,
         root: str | None,
     ) -> None:
-        """Emit a queue-mode job's lifecycle root span, post-finish.
+        """Emit a drained job's lifecycle root span, post-finish.
 
         The root covers enqueue → finish on the wall clock, so the
         queue-wait and execution children always sum to at most its
@@ -799,168 +741,112 @@ class SizingService:
             },
         })
 
-    def _drain_one(self, record: JobRecord) -> None:
-        """Probe, execute and publish one leased record (trace-aware)."""
-        tid, root = self._resume_trace(record)
-        with self._drain_scope(tid, root):
-            with span("cache.probe") as probe_span:
-                hit = probe_cache(record.job, record.key, self.cache)
-                probe_span.set(hit=hit is not None)
-            if hit is not None:
-                self._m_cache_hits.inc()
-                if tid is not None:
-                    hit = replace(hit, trace_id=tid)
-                finished = self.store.finish(record.id, hit)
-                self._emit_root(record, finished, tid, root)
-                return
-            try:
-                raw = self._run_pooled(
-                    pool_entry, record.job, self.timeout, self._carrier(),
-                    self.warm_corpus, self._fault_args(),
-                )
-            except Exception as exc:  # pool broke twice under this job
-                raw = ("failed", None, f"{type(exc).__name__}: {exc}", 0.0)
-            outcome, obs = self._outcome_from(record, raw)
-            finished = self._finish(record, outcome, obs)
-        self._emit_root(record, finished, tid, root)
-
     def _drain_loop(self) -> None:
-        """One drain worker: lease → probe → execute → publish, forever.
+        """One drain worker: lease → probe → execute → publish, until
+        the queue closes; idle rounds sleep on the queue's wakeups."""
+        while not self.store.closed:
+            seen = self.store.version
+            if not self._drain_round():
+                self.store.idle(seen)
+
+    def _drain_round(self) -> bool:
+        """Lease up to ``batch_drain or 1`` records and run them; True
+        when any work was claimed.
 
         Every leased job is re-probed against the cache first — another
         replica may have finished an identical job between enqueue and
-        lease, and the probe also settles the benign race where a
-        cache-hit row is leased before its submitter finishes it.
+        lease.  With ``batch_drain`` set, batchable misses (grouped by
+        :func:`~repro.runner.executor.batch_groups`) fuse into one
+        stacked kernel call per group — each group is *one* pool task,
+        so a replica amortizes pool round-trips exactly like ``campaign
+        run --batch`` amortizes kernel invocations.  Every other miss
+        runs through :func:`pool_entry`.
         """
-        while not self._stop.is_set():
-            if self.batch_drain:
-                if not self._drain_batched():
-                    self._stop.wait(0.05)
-                continue
+        records: list[JobRecord] = []
+        while len(records) < (self.batch_drain or 1):
             try:
                 record = self.store.lease(self.worker_id)
             except Exception:  # noqa: BLE001 — a busy/locked DB must not
-                record = None  # kill the drain thread; retry shortly
-            if record is None:
-                self._stop.wait(0.05)
-                continue
-            self._drain_one(record)
-
-    def _drain_batched(self) -> bool:
-        """One batched drain round; True when any work was claimed.
-
-        Leases up to ``batch_drain`` records, replays cache hits, and
-        fuses the batchable remainder (grouped by
-        :func:`~repro.runner.executor.batch_groups`) into stacked
-        kernel calls — each group is *one* pool task, so a fleet
-        replica amortizes pool round-trips exactly like ``campaign run
-        --batch`` amortizes kernel invocations.  Leftover
-        (non-batchable) leases run through :func:`pool_entry` as usual.
-        """
-        records: list[JobRecord] = []
-        while len(records) < self.batch_drain:
-            try:
-                record = self.store.lease(self.worker_id)
-            except Exception:  # noqa: BLE001 — busy DB: stop leasing
-                record = None
+                break  # kill the drain thread; retry next round
             if record is None:
                 break
             records.append(record)
-        if not records:
-            return False
-        live: list[JobRecord] = []
-        carriers: list[dict | None] = []
+        misses: list[tuple[JobRecord, str | None, str | None]] = []
         for record in records:
             tid, root = self._resume_trace(record)
             with self._drain_scope(tid, root):
                 with span("cache.probe") as probe_span:
                     hit = probe_cache(record.job, record.key, self.cache)
                     probe_span.set(hit=hit is not None)
-            if hit is not None:
+                if hit is None:
+                    misses.append((record, tid, root))
+                    continue
                 self._m_cache_hits.inc()
-                if tid is not None:
-                    hit = replace(hit, trace_id=tid)
                 finished = self.store.finish(record.id, hit)
-                self._emit_root(record, finished, tid, root)
-            else:
-                live.append(record)
-                carriers.append(
-                    {"trace_id": tid, "parent_id": root}
-                    if tid is not None
-                    else None
-                )
+            self._emit_root(record, finished, tid, root)
         items = [
-            (pos, record.job, record.key) for pos, record in enumerate(live)
+            (pos, record.job, record.key)
+            for pos, (record, _tid, _root) in enumerate(misses)
         ]
-        groups, rest = batch_groups(items)
+        groups, rest = batch_groups(items) if self.batch_drain else ([], items)
         for group in groups:
-            members = [live[pos] for pos, _job, _key in group]
-            traces = [carriers[pos] for pos, _job, _key in group]
-            try:
-                raws = self._run_pooled(
-                    batch_entry,
-                    [r.job for r in members],
-                    self.timeout,
-                    traces,
-                    self._fault_args(),
-                )
-            except Exception as exc:  # pool broke twice under this batch
-                raws = [
-                    (
-                        "failed", None, f"{type(exc).__name__}: {exc}",
-                        0.0, 0.0, None,
-                    )
-                ] * len(members)
-            for record, carrier, raw in zip(members, traces, raws):
-                outcome, obs = self._outcome_from(
-                    record, raw, batch=len(members)
-                )
-                finished = self._finish(record, outcome, obs)
-                self._emit_root(
-                    record,
-                    finished,
-                    carrier["trace_id"] if carrier else None,
-                    carrier["parent_id"] if carrier else None,
-                )
+            self._run_batch([misses[pos] for pos, _job, _key in group])
         for pos, _job, _key in rest:
-            record = live[pos]
-            carrier = carriers[pos]
+            self._run_one(*misses[pos])
+        return bool(records)
+
+    def _run_one(
+        self, record: JobRecord, tid: str | None, root: str | None,
+    ) -> None:
+        """Execute one leased miss through :func:`pool_entry`, publish it."""
+        with self._drain_scope(tid, root):
             try:
                 raw = self._run_pooled(
-                    pool_entry, record.job, self.timeout, carrier,
+                    pool_entry, record.job, self.timeout, self._carrier(),
                     self.warm_corpus, self._fault_args(),
                 )
             except Exception as exc:  # pool broke twice under this job
-                raw = ("failed", None, f"{type(exc).__name__}: {exc}", 0.0)
-            outcome, obs = self._outcome_from(record, raw)
-            finished = self._finish(record, outcome, obs)
-            self._emit_root(
-                record,
-                finished,
-                carrier["trace_id"] if carrier else None,
-                carrier["parent_id"] if carrier else None,
+                error = f"{type(exc).__name__}: {exc}"
+                raw = ("failed", None, error, 0.0, None)
+            finished = self._finish(record, *self._outcome_from(record, raw))
+        self._emit_root(record, finished, tid, root)
+
+    def _run_batch(
+        self, members: list[tuple[JobRecord, str | None, str | None]],
+    ) -> None:
+        """Execute a fused group as one :func:`batch_entry` pool task."""
+        carriers = [
+            {"trace_id": tid, "parent_id": root} if tid is not None else None
+            for _record, tid, root in members
+        ]
+        try:
+            raws = self._run_pooled(
+                batch_entry, [record.job for record, _, _ in members],
+                self.timeout, carriers, self._fault_args(),
             )
-        return True
+        except Exception as exc:  # pool broke twice under this batch
+            error = f"{type(exc).__name__}: {exc}"
+            raws = [("failed", None, error, 0.0, 0.0, None)] * len(members)
+        for (record, tid, root), raw in zip(members, raws):
+            outcome, obs = self._outcome_from(record, raw, batch=len(members))
+            finished = self._finish(record, outcome, obs)
+            self._emit_root(record, finished, tid, root)
 
     def get_job(self, job_id: str) -> tuple[JobRecord, dict | None]:
         """A job record plus its full payload when one is available.
 
-        The payload comes from process memory for jobs finished in this
-        service lifetime, or from the result cache after a restart.  A
-        ``lost`` job (in flight when a previous service died) is
-        upgraded to its completed outcome here if its worker reached
-        the cache write before the crash.
+        Executed jobs carry their payload in the queue row; a cache
+        replay's row holds none, so its payload is re-read from the
+        result cache by key.
         """
         record = self.store.get(job_id)
         payload = record.payload
         if payload is None and record.key is not None and (
-            record.status in ("ok", "infeasible", "lost")
+            record.status in ("ok", "infeasible")
         ):
             hit = probe_cache(record.job, record.key, self.cache)
             if hit is not None:
                 payload = hit.payload
-                if record.status == "lost":
-                    record = self.store.finish(record.id, hit)
         return record, payload
 
     def list_jobs(
@@ -973,7 +859,7 @@ class SizingService:
 
         ``status`` filters to one job status, ``limit`` caps the page
         (1–500), ``after`` is the cursor returned by the previous page.
-        Fleet-wide when the store is a shared queue.
+        Fleet-wide when the queue is shared.
         """
         if status is not None and status not in JOB_STATUSES:
             raise ServiceError(
@@ -994,8 +880,7 @@ class SizingService:
         The first snapshot is immediate; subsequent ones arrive on
         status transitions.  The stream ends after the terminal
         snapshot, or silently at ``timeout`` — callers reconnect with
-        whatever status they last saw.  Backed by a condition variable
-        on the in-memory store and a short poll on the shared queue.
+        whatever status they last saw.  Backed by :meth:`WorkQueue.wait`.
         """
         deadline = time.monotonic() + timeout
         record = self.store.get(job_id)
@@ -1041,18 +926,16 @@ class SizingService:
                 f"shared cache tier breaker {breaker.name!r} is "
                 f"{breaker.state}; serving from the local tier only"
             )
-        if isinstance(self.store, WorkQueue):
-            poisoned = self.store.poisoned_count()
-            if poisoned:
-                reasons.append(
-                    f"{poisoned} job(s) poison-parked in the dead-letter "
-                    "queue; inspect/requeue with 'python -m repro queue'"
-                )
+        poisoned = self.store.poisoned_count()
+        if poisoned:
+            reasons.append(
+                f"{poisoned} job(s) poison-parked in the dead-letter "
+                "queue; inspect/requeue with 'python -m repro queue'"
+            )
         return {
             "status": "degraded" if reasons else "ok",
             "reasons": reasons,
             "workers": self.jobs,
-            "mode": "queue" if self.queue_path is not None else "local",
         }
 
     def stats(self) -> dict:
@@ -1100,17 +983,12 @@ class SizingService:
             "cache_backend": (
                 self.cache.describe() if self.cache is not None else None
             ),
-            "queue": (
-                {
-                    "mode": "queue",
-                    "depth": self.store.depth(),
-                    "worker_id": self.worker_id,
-                    "poisoned": self.store.poisoned_count(),
-                    **self.store.describe(),
-                }
-                if self.queue_path is not None
-                else {"mode": "local", "depth": self.store.depth()}
-            ),
+            "queue": {
+                "depth": self.store.depth(),
+                "worker_id": self.worker_id,
+                "poisoned": self.store.poisoned_count(),
+                **self.store.describe(),
+            },
             "admission": self.admission.counters(),
             "warmstart": warmstart_counts(),
             "flow": flow,
@@ -1137,7 +1015,7 @@ class SizingService:
 
     def close(self) -> None:
         """Stop drain workers, then the pool (in-flight jobs finish first)."""
-        self._stop.set()
+        self.store.close()
         for thread in self._drainers:
             thread.join(timeout=5.0)
         self._pool.shutdown(wait=True)

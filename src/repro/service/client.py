@@ -9,7 +9,7 @@ honest: anything the docs claim must round-trip through this code.
 
 The client is a *session*: one kept-alive HTTP connection, reused
 across calls and closed by :meth:`close` (or the context manager).
-Replies arrive in the ``repro.service/2`` envelope and every method
+Replies arrive in the ``repro.service/3`` envelope and every method
 returns the unwrapped ``data`` object, so callers never see transport
 framing.  Admission rejections (429) are retried automatically,
 sleeping the server-stated ``Retry-After``, up to ``retries`` times —

@@ -1,29 +1,41 @@
-"""Durable work-queue job store: one job stream for N serve replicas.
+"""The service's job store: one durable sqlite queue per job stream.
 
-:class:`WorkQueue` is the fleet-shaped counterpart of the in-process
-:class:`~repro.service.jobs.JobStore`: the same record surface
-(``create`` / ``get`` / ``finish`` / ``counts`` / ``list`` / ``wait``)
-backed by one SQLite database (WAL mode) that any number of *serve
-processes* open concurrently.  A submission enqueues a ``queued`` row;
-drain workers — in any replica — claim work with :meth:`lease`, which
-atomically flips the oldest claimable row to ``running`` under a
-**visibility timeout**: if the leasing worker dies (process crash,
-power cut), the lease expires and another worker re-claims the job,
-so a job submitted anywhere eventually runs somewhere.  Execution is
+Every request admitted by the sizing service becomes a row in a
+:class:`WorkQueue` — one SQLite database (WAL mode) that any number of
+*serve processes* may open concurrently.  A standalone service keeps
+its queue in its run directory (or in a temporary directory without
+one); replicas given the same ``--queue`` path share one job stream.
+A submission enqueues a ``queued`` row; drain workers — in any
+replica — claim work with :meth:`WorkQueue.lease`, which atomically
+flips the oldest claimable row to ``running`` under a **visibility
+timeout**: if the leasing worker dies (process crash, power cut,
+restart), the lease expires and another worker re-claims the job, so a
+job submitted anywhere eventually runs somewhere.  Execution is
 therefore *at-least-once*; results are deterministic and
 content-addressed, so a double execution settles on byte-identical
 cache entries and the second ``finish`` is a harmless overwrite.
 
 Rows double as the durable job record: terminal status, summary,
 error, wall time and the (JSON) result payload live in the row, which
-is what lets ``GET /v1/jobs/<id>`` answer on any replica for a job
-another replica executed — even with caching disabled.  A job whose
-lease expired ``max_attempts`` times (default :data:`MAX_ATTEMPTS`,
-operator-tunable via ``serve --max-attempts``) is failed permanently
-rather than crash-looping the fleet; every reclaim and failure is
-appended to the row's ``history`` column, so the dead-letter tooling
-(``python -m repro queue inspect``) can show *why* a job went poison
-and ``queue requeue`` can send it back after a fix.
+is what lets ``GET /v1/jobs/<id>`` answer after a restart, or on any
+replica for a job another replica executed — even with caching
+disabled.  A cache replay is recorded as one row inserted already
+finished, without the payload column: the payload lives in the cache
+it was just read from.  A job whose lease expired ``max_attempts``
+times (default :data:`MAX_ATTEMPTS`, operator-tunable via ``serve
+--max-attempts``) is failed permanently rather than crash-looping the
+fleet; every reclaim and failure is appended to the row's ``history``
+column, so the dead-letter tooling (``python -m repro queue inspect``)
+can show *why* a job went poison and ``queue requeue`` can send it
+back after a fix.
+
+Waiting is event-driven within one process: each instance notifies a
+condition variable on :meth:`WorkQueue.create`,
+:meth:`WorkQueue.finish`, :meth:`WorkQueue.requeue` and
+:meth:`WorkQueue.close`, so idle drain workers and
+:meth:`WorkQueue.wait` callers wake on the transition.  Changes made
+by other processes are picked up by re-reading every
+:data:`POLL_INTERVAL` seconds.
 
 Queue sqlite operations run under a shared retry policy
 (:mod:`repro.faults.retry`): ``database is locked`` under replica
@@ -34,9 +46,11 @@ off and retried instead of surfacing to the drain loop.
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 import threading
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ServiceError
@@ -45,13 +59,26 @@ from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.runner.executor import JobOutcome
 from repro.runner.progress import job_summary
 from repro.runner.spec import Job
-from repro.service.jobs import JobRecord
 
-__all__ = ["MAX_ATTEMPTS", "WorkQueue"]
+__all__ = ["JOB_STATUSES", "MAX_ATTEMPTS", "JobRecord", "WorkQueue"]
+
+#: Statuses a job can be observed in; ``queued``/``running`` are live.
+JOB_STATUSES = ("queued", "running", "ok", "infeasible", "failed", "timeout")
 
 #: Default lease claims per job before it is failed permanently — a
 #: job that kills its worker three times is poison, not unlucky.
 MAX_ATTEMPTS = 3
+
+#: Seconds between re-reads of the database while waiting: the bound on
+#: how late a waiter sees a change made by another process (changes
+#: made through the same instance wake waiters at once).
+POLL_INTERVAL = 0.05
+
+#: Monotonic admit anchors kept per instance before the table is
+#: cleared.  Jobs this process created but another replica finished
+#: (or the lease reaper poison-parked) never pop their anchor; an
+#: evicted anchor falls back to the outcome's own ``duration_s``.
+MAX_ANCHORS = 4096
 
 #: Backoff for contended/injected sqlite failures on queue operations.
 _QUEUE_RETRY = RetryPolicy(
@@ -94,8 +121,76 @@ _MIGRATIONS = (
 )
 
 
+@dataclass
+class JobRecord:
+    """One admitted request: identity, parameters, and (later) its fate."""
+
+    id: str
+    job: Job
+    key: str | None
+    created_at: float
+    status: str = "queued"
+    cached: bool = False
+    wall_seconds: float | None = None
+    summary: dict | None = None
+    error: str | None = None
+    finished_at: float | None = None
+    #: Admit-to-finish latency measured on the *monotonic* clock by the
+    #: process that observed both ends (falls back to the outcome's
+    #: ``duration_s`` when finish happened in another process, e.g. a
+    #: queue-sharing replica).  Unlike ``finished_at - created_at`` it
+    #: can never go negative under a wall-clock step.
+    duration_s: float | None = None
+    #: Trace reference (``trace_id`` or ``trace_id-root_span_id``) tying
+    #: this job to its span tree in ``trace.jsonl``; None with tracing
+    #: off.
+    trace: str | None = None
+    #: Warm-start flags (``{"hit", "seeded", "fallback"}``) when the
+    #: corpus touched this job; None for cold runs and cache replays.
+    warm: dict | None = None
+    #: Full result payload: the row's payload column for executed jobs;
+    #: for a cache replay only the admitting request holds it, and
+    #: later readers re-read it from the result cache.
+    payload: dict | None = field(default=None, repr=False)
+
+    @property
+    def done(self) -> bool:
+        """True once the job reached a terminal status."""
+        return self.status not in ("queued", "running")
+
+    @property
+    def trace_id(self) -> str | None:
+        """The trace id part of :attr:`trace` (root span id stripped)."""
+        if self.trace is None:
+            return None
+        return self.trace.partition("-")[0] or None
+
+    def to_wire(self) -> dict:
+        """JSON-ready public view of this record (payload excluded)."""
+        return {
+            "id": self.id,
+            "status": self.status,
+            "job": self.job.to_dict(),
+            "label": self.job.label(),
+            "key": self.key,
+            "cached": self.cached,
+            "wall_seconds": self.wall_seconds,
+            "duration_s": self.duration_s,
+            "summary": self.summary,
+            "error": self.error,
+            "created_at": self.created_at,
+            "finished_at": self.finished_at,
+            "trace_id": self.trace_id,
+            "warm": self.warm,
+        }
+
+
+def _json_or_none(value) -> str | None:
+    return None if value is None else json.dumps(value)
+
+
 class WorkQueue:
-    """SQLite-backed durable job queue + shared job record store.
+    """SQLite-backed durable job queue and job record store.
 
     ``path`` is the database file every replica opens;
     ``visibility_timeout`` is how long a lease holds before the job is
@@ -128,6 +223,12 @@ class WorkQueue:
         # Monotonic admit anchors for duration_s (this process only).
         self._anchor_lock = threading.Lock()
         self._created_mono: dict[str, float] = {}
+        # In-process wakeups: ``version`` counts this instance's
+        # changes, so a waiter that read it before looking at the
+        # database cannot miss a change made after it looked.
+        self._changed = threading.Condition()
+        self.version = 0
+        self.closed = False
         self._m_reclaims = self._m_poison = None
         if metrics is not None:
             self._m_reclaims = metrics.counter(
@@ -243,7 +344,41 @@ class WorkQueue:
             (json.dumps(history[-50:]), seq),
         )
 
-    # -- the JobStore-compatible surface ------------------------------
+    # -- in-process wakeups -------------------------------------------
+
+    def _notify(self) -> None:
+        with self._changed:
+            self.version += 1
+            self._changed.notify_all()
+
+    def idle(self, since: int, timeout: float = math.inf) -> None:
+        """Block while :attr:`version` is still ``since``.
+
+        Returns on this instance's next change, on :meth:`close`, or
+        after :data:`POLL_INTERVAL` (capped at ``timeout``) — the
+        re-read that picks up changes made by other processes.
+        """
+        with self._changed:
+            self._changed.wait_for(
+                lambda: self.version != since or self.closed,
+                min(POLL_INTERVAL, timeout),
+            )
+
+    def close(self) -> None:
+        """Wake every waiter for good and close this thread's connection.
+
+        After close, :meth:`idle` and :meth:`wait` return at once, so
+        drain workers can observe shutdown without a poll tick.
+        """
+        with self._changed:
+            self.closed = True
+            self._changed.notify_all()
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+            self._local.conn = None
+
+    # -- the job record surface ---------------------------------------
 
     def create(
         self,
@@ -251,25 +386,42 @@ class WorkQueue:
         key: str | None,
         client: str | None = None,
         trace: str | None = None,
+        outcome: JobOutcome | None = None,
     ) -> JobRecord:
         """Enqueue a job: insert a ``queued`` row, allocate its id.
 
         ``trace`` rides in the row, which is how a trace id crosses
         from the submitting replica to whichever replica drains the
-        job.
+        job.  With ``outcome`` (a cache replay) the row is inserted
+        already finished, in the same transaction, so no drain worker
+        can lease it; its payload column stays empty — the returned
+        record carries the payload in memory, and later readers
+        re-read it from the cache by key.
         """
         created_at = time.time()
         created_mono = time.monotonic()
+        terminal = (
+            {} if outcome is None else _terminal(outcome, outcome.duration_s)
+        )
+        record = JobRecord(
+            id="", job=job, key=key, created_at=created_at, trace=trace,
+            **terminal,
+        )
 
         def _insert() -> str:
             probe("queue.publish")
             with self._txn() as conn:
                 cursor = conn.execute(
                     "INSERT INTO jobs (id, job, label, key, client, status, "
-                    "created_at, trace) VALUES ('', ?, ?, ?, ?, 'queued', ?, ?)",
+                    "created_at, trace, cached, wall_seconds, duration_s, "
+                    "summary, error, finished_at, warm) "
+                    "VALUES ('', ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
                         json.dumps(job.to_dict()), job.label(), key, client,
-                        created_at, trace,
+                        record.status, created_at, trace, int(record.cached),
+                        record.wall_seconds, record.duration_s,
+                        _json_or_none(record.summary), record.error,
+                        record.finished_at, _json_or_none(record.warm),
                     ),
                 )
                 seq = cursor.lastrowid
@@ -279,13 +431,16 @@ class WorkQueue:
                 )
             return new_id
 
-        job_id = call_with_retry(_insert, _QUEUE_RETRY, "queue.publish")
+        record.id = call_with_retry(_insert, _QUEUE_RETRY, "queue.publish")
+        if outcome is not None:
+            record.payload = outcome.payload
+            return record
         with self._anchor_lock:
-            self._created_mono[job_id] = created_mono
-        return JobRecord(
-            id=job_id, job=job, key=key, created_at=created_at, trace=trace,
-            created_mono=created_mono,
-        )
+            if len(self._created_mono) >= MAX_ANCHORS:
+                self._created_mono.clear()
+            self._created_mono[record.id] = created_mono
+        self._notify()
+        return record
 
     def get(self, job_id: str) -> JobRecord:
         """Look a job up by id; unknown ids are a 404-grade error."""
@@ -296,29 +451,18 @@ class WorkQueue:
             raise ServiceError(f"no such job {job_id!r}", status=404)
         return self._record(row)
 
-    def mark_running(self, job_id: str) -> None:
-        """Flip a queued job to ``running`` (the local direct-run path)."""
-        with self._txn() as conn:
-            conn.execute(
-                "UPDATE jobs SET status = 'running', lease_expires = ? "
-                "WHERE id = ? AND status = 'queued'",
-                (time.time() + self.visibility_timeout, job_id),
-            )
-
     def finish(self, job_id: str, outcome: JobOutcome) -> JobRecord:
         """Record a job's outcome; returns the stored snapshot."""
-        summary = job_summary(outcome)
         with self._anchor_lock:
             anchor = self._created_mono.pop(job_id, None)
         # Monotonic admit-to-finish latency when this process saw both
         # ends; a queue-sharing replica that only executed falls back
         # to the outcome's own monotonic duration.
-        duration_s = (
-            time.monotonic() - anchor
-            if anchor is not None
-            else outcome.duration_s
+        done = _terminal(
+            outcome,
+            time.monotonic() - anchor if anchor is not None
+            else outcome.duration_s,
         )
-        warm = outcome.warm_summary()
 
         def _write() -> None:
             probe("queue.publish")
@@ -329,18 +473,15 @@ class WorkQueue:
                     "finished_at = ?, warm = ?, lease_owner = NULL, "
                     "lease_expires = NULL WHERE id = ?",
                     (
-                        outcome.status,
-                        int(outcome.cached),
-                        outcome.wall_seconds,
-                        duration_s,
-                        json.dumps(summary) if summary is not None else None,
-                        outcome.error,
-                        (
-                            json.dumps(outcome.payload)
-                            if outcome.payload is not None else None
-                        ),
-                        time.time(),
-                        json.dumps(warm) if warm is not None else None,
+                        done["status"],
+                        int(done["cached"]),
+                        done["wall_seconds"],
+                        done["duration_s"],
+                        _json_or_none(done["summary"]),
+                        done["error"],
+                        _json_or_none(outcome.payload),
+                        done["finished_at"],
+                        _json_or_none(done["warm"]),
                         job_id,
                     ),
                 )
@@ -357,6 +498,7 @@ class WorkQueue:
                         })
 
         call_with_retry(_write, _QUEUE_RETRY, "queue.publish")
+        self._notify()
         return self.get(job_id)
 
     def counts(self) -> dict[str, int]:
@@ -418,23 +560,23 @@ class WorkQueue:
     ) -> JobRecord:
         """Block until the job's status differs from ``known_status``.
 
-        Cross-process, so change detection is a poll loop; returns the
-        latest record either on a transition, on a terminal status, or
-        at the deadline (caller inspects ``status`` to tell which).
+        Wakes at once on this instance's own changes and re-reads every
+        :data:`POLL_INTERVAL` for changes made by other processes;
+        returns the latest record on a transition, on a terminal
+        status, at the deadline or after :meth:`close` (the caller
+        inspects ``status`` to tell which).
         """
         deadline = time.monotonic() + timeout
         while True:
+            seen = self.version
             record = self.get(job_id)
-            if record.status != known_status or record.done:
+            remaining = deadline - time.monotonic()
+            if (
+                record.status != known_status or record.done
+                or remaining <= 0 or self.closed
+            ):
                 return record
-            if time.monotonic() >= deadline:
-                return record
-            time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
-
-    def __len__(self) -> int:
-        return self._connect().execute(
-            "SELECT COUNT(*) FROM jobs"
-        ).fetchone()[0]
+            self.idle(seen, remaining)
 
     # -- the queue surface (drain workers) ----------------------------
 
@@ -599,6 +741,7 @@ class WorkQueue:
                 "lease_expires = NULL WHERE seq = ?",
                 (row["seq"],),
             )
+        self._notify()
         return self.get(job_id)
 
     def poisoned_count(self) -> int:
@@ -624,3 +767,17 @@ class WorkQueue:
             "visibility_timeout": self.visibility_timeout,
             "max_attempts": self.max_attempts,
         }
+
+
+def _terminal(outcome: JobOutcome, duration_s: float | None) -> dict:
+    """The :class:`JobRecord` fields a finished job carries."""
+    return {
+        "status": outcome.status,
+        "cached": outcome.cached,
+        "wall_seconds": outcome.wall_seconds,
+        "duration_s": duration_s,
+        "summary": job_summary(outcome),
+        "error": outcome.error,
+        "finished_at": time.time(),
+        "warm": outcome.warm_summary(),
+    }

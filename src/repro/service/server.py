@@ -57,10 +57,10 @@ from repro.sizing.serialize import canonical_json
 __all__ = ["WIRE_SCHEMA", "SizingHTTPServer", "make_server", "serve"]
 
 #: Identifier of the wire format carried by every response.  ``/2``
-#: introduced the uniform ``{"data": ...}`` success envelope; for one
-#: release the ``data`` fields are *also* mirrored at the top level so
-#: ``/1`` clients keep working — that shim goes away with ``/3``.
-WIRE_SCHEMA = "repro.service/2"
+#: introduced the uniform ``{"data": ...}`` success envelope; ``/3``
+#: dropped ``/2``'s top-level mirror of the ``data`` fields that kept
+#: ``/1`` clients working for one release.
+WIRE_SCHEMA = "repro.service/3"
 
 #: Longest long-poll an events stream accepts, seconds.
 MAX_EVENTS_TIMEOUT = 300.0
@@ -123,18 +123,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _send_data(self, status: int, data: dict) -> None:
-        """Send one success reply in the uniform ``data`` envelope.
-
-        The one-release ``/1`` compat shim: every ``data`` field is
-        mirrored at the top level (never clobbering the envelope's own
-        keys), so clients written against the flat ``/1`` bodies keep
-        reading the same fields.
-        """
-        body = {"schema": WIRE_SCHEMA, "data": data}
-        for key, value in data.items():
-            if key not in body:
-                body[key] = value
-        self._send_json(status, body)
+        """Send one success reply in the uniform ``data`` envelope."""
+        self._send_json(status, {"schema": WIRE_SCHEMA, "data": data})
 
     def _drain_body(self) -> None:
         if getattr(self, "_body_consumed", True):
@@ -291,9 +281,9 @@ class _Handler(BaseHTTPRequestHandler):
         wants_async = bool(body.get("async", False))
         sizer = service.size_async if wants_async else service.size_sync
         record = sizer(body, self._client())
-        # One rule for both modes: a terminal record is a 200 with its
+        # One rule for both: a terminal record is a 200 with its
         # payload; anything still in flight — an async ticket, or a
-        # synchronous wait that hit its queue-mode deadline — is a 202.
+        # synchronous wait that hit its ``sync_wait`` deadline — is a 202.
         payload = record.payload if record.done else None
         self._send_data(200 if record.done else 202,
                         _job_body(record, payload))
@@ -519,14 +509,14 @@ def serve(
     ``queue`` (a database path shared by all replicas) turns this
     process into one replica of a fleet; ``max_queue_depth`` and
     ``quota_rate``/``quota_burst`` configure admission control;
-    ``batch_drain`` (queue mode) fuses leased batchable jobs into
-    stacked kernel calls; ``trace=False`` (``--no-trace``) disables
+    ``batch_drain`` fuses leased batchable jobs into stacked kernel
+    calls; ``trace=False`` (``--no-trace``) disables
     span collection; ``warm_corpus`` (a backend spec) turns on corpus
     warm starts for cache misses (results stay bitwise identical to
     cold runs).
 
     Failure knobs: ``visibility_timeout`` is the queue lease duration
-    before a dead replica's jobs are re-claimed; ``max_attempts``
+    before a dead worker's jobs are re-claimed; ``max_attempts``
     bounds re-leases before a job is poison-parked (``--max-attempts``,
     replacing the old hardwired constant); ``faults``/``fault_seed``
     install a deterministic fault-injection schedule for chaos drills
@@ -549,10 +539,9 @@ def serve(
     server = make_server(service, host=host, port=port)
     host_shown, port_shown = server.server_address[:2]
     cache_shown = "off" if service.cache is None else service.cache.describe()
-    queue_shown = f", queue {queue}" if queue else ""
     print(f"repro sizing service listening on http://{host_shown}:{port_shown}"
           f" ({jobs} worker{'s' if jobs != 1 else ''}, "
-          f"cache {cache_shown}{queue_shown})")
+          f"cache {cache_shown}, queue {service.store.path})")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -18,7 +18,6 @@ none may duplicate work, drop work, or corrupt a payload.
 
 import sqlite3
 import threading
-import time
 
 import pytest
 
@@ -100,8 +99,12 @@ class TestCacheBreakerSchedule:
         fault_free = self._service(tmp_path, "clean")
         chaotic = self._service(tmp_path, "chaos")
         tiered = chaotic.cache.backend
+        # A manual clock: the breaker re-probes only when the test says
+        # the reset timeout has passed, never mid-solve.
+        now = [0.0]
         tiered.breaker = CircuitBreaker(
-            "cache.shared", failure_threshold=2, reset_timeout=0.05
+            "cache.shared", failure_threshold=2, reset_timeout=0.05,
+            clock=lambda: now[0],
         )
         tiered.retry = RetryPolicy(
             attempts=2, base_delay=0.001, jitter=0.0,
@@ -129,7 +132,7 @@ class TestCacheBreakerSchedule:
             # The dependency recovers: the half-open re-probe closes the
             # breaker on the next shared-tier call.
             uninstall()
-            time.sleep(0.06)
+            now[0] += 0.06
             second = chaotic.size_sync(body_b)
             assert second.status == "ok"
             assert tiered.breaker.state == "closed"

@@ -1,18 +1,22 @@
-"""Tests for the sizing service (repro.service): HTTP API, cache, log."""
+"""Tests for the sizing service (repro.service): HTTP API, cache, queue."""
 
 import json
+import sqlite3
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 
 from repro import runner
+from repro.__main__ import main
 from repro.errors import ServiceError
 from repro.runner import CampaignSpec, Job, execute_job
 from repro.runner.executor import _EXECUTORS
-from repro.service import ServiceClient, SizingService, make_server
-from repro.service.jobs import JobStore
-from repro.sizing.serialize import canonical_json
+from repro.service import ServiceClient, SizingService, WorkQueue, make_server
+from repro.sizing.serialize import canonical_json, comparable_payload
 
 INLINE_BENCH = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n"
 
@@ -125,7 +129,7 @@ class TestTransport:
             conn.request("GET", "/v1/healthz")
             follow_up = conn.getresponse()
             assert follow_up.status == 200
-            assert json.loads(follow_up.read())["status"] == "ok"
+            assert json.loads(follow_up.read())["data"]["status"] == "ok"
         finally:
             conn.close()
 
@@ -206,30 +210,113 @@ class TestRestart:
         finally:
             reborn.stop()
 
-    def test_inflight_job_comes_back_lost_then_upgrades(self, tmp_path):
-        job = Job(circuit="c17", delay_spec=0.6)
-        store = JobStore(tmp_path / "run")
-        key = runner.campaign_keys([job], runner.ResultCache(
-            tmp_path / "cache"
-        ))[0]
-        record = store.create(job, key)
-        # No finish record: the service "died" mid-flight.
-
-        service = SizingService(
-            jobs=1, cache=tmp_path / "cache", run_dir=tmp_path / "run"
+    def test_inflight_jobs_rerun_after_restart(self, tmp_path):
+        """Rows a dead service left in its run-dir queue are drained by
+        the next service: a ``queued`` row runs, and a ``running`` row
+        is re-claimed once its lease expires (at-least-once)."""
+        cache = runner.ResultCache(tmp_path / "cache")
+        queued_job = Job(circuit="c17", delay_spec=0.6)
+        running_job = Job(circuit="c17", delay_spec=0.8)
+        queued_key, running_key = runner.campaign_keys(
+            [queued_job, running_job], cache
         )
+        db = tmp_path / "run" / "queue.db"
+        dead = WorkQueue(db, visibility_timeout=0.2)
+        running = dead.create(running_job, running_key)
+        assert dead.lease("dead-replica").id == running.id
+        queued = dead.create(queued_job, queued_key)
+        dead.close()
+
+        service = SizingService(jobs=1, cache=cache, run_dir=tmp_path / "run")
         try:
-            found, payload = service.get_job(record.id)
-            assert found.status == "lost" and payload is None
-            # A cache entry appears (e.g. the worker won the race before
-            # the crash, or another replica computed it): lost upgrades.
-            outcome = runner.run_one(job, cache=service.cache)
-            assert outcome.status == "ok"
-            found, payload = service.get_job(record.id)
-            assert found.status == "ok" and found.cached
-            assert payload is not None
+            settled = {}
+            for record in (queued, running):
+                deadline = time.monotonic() + 60.0
+                while not record.done and time.monotonic() < deadline:
+                    record = service.store.wait(record.id, record.status, 5.0)
+                settled[record.id] = service.get_job(record.id)
         finally:
             service.close()
+
+        for job, record in ((queued_job, queued), (running_job, running)):
+            found, payload = settled[record.id]
+            assert found.status == "ok" and not found.cached
+            _, fresh = execute_job(job)
+            assert canonical_json(comparable_payload(payload)) == (
+                canonical_json(comparable_payload(fresh))
+            )
+        with closing(sqlite3.connect(db)) as conn:
+            attempts = dict(conn.execute("SELECT id, attempts FROM jobs"))
+        assert attempts == {running.id: 2, queued.id: 1}
+
+
+class TestJobQueue:
+    """Every request goes through the service's one job store."""
+
+    def test_default_service_keeps_its_queue_in_the_run_dir(
+        self, tmp_path, monkeypatch, capsys,
+    ):
+        def boom(job):
+            raise RuntimeError("sizing blew up")
+
+        monkeypatch.setitem(_EXECUTORS, "sizing", boom)
+        service = SizingService(jobs=1, cache=None, run_dir=tmp_path / "run")
+        try:
+            record = service.size_sync({"circuit": "c17", "delay_spec": 0.6})
+        finally:
+            service.close()
+        assert record.status == "failed"
+        db = tmp_path / "run" / "queue.db"
+        assert main(["queue", "inspect", str(db), "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)
+        assert [job["id"] for job in listed["failed"]] == [record.id]
+        assert "sizing blew up" in listed["failed"][0]["error"]
+
+    def test_cache_hit_is_one_finished_row(self, live, tmp_path):
+        first = live.client.size(circuit="c17", delay_spec=0.65)
+        hit = live.client.size(circuit="c17", delay_spec=0.65)
+        assert hit["cached"] and not first["cached"]
+        with closing(sqlite3.connect(tmp_path / "run" / "queue.db")) as conn:
+            rows = conn.execute(
+                "SELECT id, status, attempts, cached, payload FROM jobs "
+                "ORDER BY seq"
+            ).fetchall()
+        assert [row[0] for row in rows] == [first["id"], hit["id"]]
+        # Inserted finished: never leased, no payload column — the
+        # payload lives in the cache it was just read from.
+        assert rows[1][1:] == ("ok", 0, 1, None)
+        replay = live.client.job(hit["id"])
+        assert replay["cached"]
+        assert canonical_json(replay["payload"]) == (
+            canonical_json(first["payload"])
+        )
+
+    def test_sync_misses_wake_without_poll_ticks(self, tmp_path, monkeypatch):
+        """With the cross-process poll pushed to 30 s, only in-process
+        wakeups can carry a sync miss through the queue in time; a lost
+        wakeup would stall its request for a whole poll interval."""
+        monkeypatch.setattr("repro.service.queue.POLL_INTERVAL", 30.0)
+        # sync_wait bounds a stalled request: it degrades to "queued".
+        service = SizingService(
+            jobs=1, cache=None, run_dir=tmp_path / "run", sync_wait=20.0,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            start = time.monotonic()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                records = list(pool.map(
+                    lambda i: service.size_sync(
+                        {"circuit": "c17", "delay_spec": 0.6 + i / 50}
+                    ),
+                    range(8),
+                ))
+            elapsed = time.monotonic() - start
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert [record.status for record in records] == ["ok"] * 8
+        assert elapsed < 10.0
 
 
 class TestErrors:

@@ -1,5 +1,5 @@
 """Tests for the fleet-shaped service tier: durable work queue,
-admission control, the v2 wire envelope, and multi-replica serving."""
+admission control, the v3 wire envelope, and multi-replica serving."""
 
 import http.client
 import json
@@ -96,6 +96,18 @@ class TestWorkQueue:
         seen = queue.wait(record.id, "queued", timeout=5.0)
         assert seen.status == "ok"
 
+    def test_admit_anchors_stay_bounded(self, tmp_path, monkeypatch):
+        """Jobs created here but finished by another replica never pop
+        their monotonic admit anchor; the table must stay bounded."""
+        monkeypatch.setattr("repro.service.queue.MAX_ANCHORS", 4)
+        creator = WorkQueue(tmp_path / "q.db")
+        drainer = WorkQueue(tmp_path / "q.db")
+        for _ in range(10):
+            record = creator.create(JOB, key=None)
+            assert drainer.lease("b").id == record.id
+            drainer.finish(record.id, _outcome(JOB))
+            assert len(creator._created_mono) <= 4
+
     def test_list_paginates_with_cursor(self, tmp_path):
         queue = WorkQueue(tmp_path / "q.db")
         ids = [queue.create(JOB, key=None).id for _ in range(5)]
@@ -172,13 +184,13 @@ class TestWireEnvelope:
             conn.close()
 
     def test_success_envelope_with_compat_shim(self, live):
+        """``/3`` retired ``/2``'s one-release ``/1`` compat shim: the
+        ``data`` fields are no longer mirrored at the top level."""
         status, _, reply = self._raw(live, "GET", "/v1/healthz")
         assert status == 200
-        assert reply["schema"] == WIRE_SCHEMA == "repro.service/2"
+        assert reply["schema"] == WIRE_SCHEMA == "repro.service/3"
         assert reply["data"]["status"] == "ok"
-        # The one-release /1 shim: data fields mirrored at top level.
-        assert reply["status"] == reply["data"]["status"]
-        assert reply["workers"] == reply["data"]["workers"]
+        assert set(reply) == {"schema", "data"}
 
     def test_every_v1_endpoint_wears_the_envelope(self, live):
         for path in ("/v1/healthz", "/v1/circuits", "/v1/backends",
@@ -193,7 +205,7 @@ class TestWireEnvelope:
         )
         assert status == 200
         assert reply["data"]["status"] == "ok"
-        assert reply["status"] == "ok"  # shim
+        assert set(reply) == {"schema", "data"}  # no /1 mirror
 
     def test_error_envelope_is_structured(self, live):
         status, _, reply = self._raw(live, "GET", "/v1/jobs/j999999")
@@ -239,7 +251,7 @@ class TestWireEnvelope:
 
 
 class TestQueueModeService:
-    """One in-process replica in queue mode (drain threads active)."""
+    """One in-process replica on an explicit ``queue`` database."""
 
     @pytest.fixture()
     def box(self, tmp_path):
@@ -263,7 +275,7 @@ class TestQueueModeService:
         _, payload = execute_job(JOB)
         assert reply["payload"]["result"]["x"] == payload["result"]["x"]
         stats = client.stats()
-        assert stats["queue"]["mode"] == "queue"
+        assert stats["queue"]["path"] == str(service.store.path)
         assert stats["queue"]["depth"] == 0
 
     def test_async_job_is_drained_by_the_worker(self, box):
