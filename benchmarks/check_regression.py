@@ -1,7 +1,6 @@
 """Compare a fresh benchmark run against its committed baseline.
 
-Handles every gated harness document — ``BENCH_sizing.json``
-(``repro-bench-sizing/1``), ``BENCH_service.json``
+Handles every gated harness document — ``BENCH_service.json``
 (``repro-bench-service/1``) and ``BENCH_warmstart.json``
 (``repro-bench-warmstart/1``); the document schema picks the
 comparison.
@@ -9,25 +8,24 @@ comparison.
 CI runners differ wildly in raw speed, so absolute wall times are never
 compared.  The regression gate uses machine-independent signals only:
 
-* same-process speedup ratios — the scalar-vs-vectorized W-phase and
-  TILOS ratios and the batched-campaign throughput ratio for the
-  sizing document.  Both sides of each ratio ran on the same machine
-  in the same process, so the ratio survives runner changes.  Fails
-  when the current ratio drops more than ``--threshold`` (default 20%)
-  below the baseline.
-* deterministic work counters — sizing W-phase sweep counts and TILOS
-  bump counts; a jump means the algorithm got structurally worse even
-  if the runner hides it.
-* ``parity_ok`` — kernels (sizing) must still agree on their results;
-  for the service document, cached and cross-replica replies must be
-  byte-identical to fresh executions.
+* same-machine ratios — the service's warm-vs-cold throughput ratio.
+  Both sides ran on the same machine, so the ratio survives runner
+  changes.
+* deterministic work counters — the warm-start drift sweep's
+  iteration reduction and seeded-job count; a drop means retrieval or
+  gating got structurally worse even if the runner hides it.  Fails
+  when the current value drops more than ``--threshold`` (default
+  20%) below the baseline.
+* ``parity_ok`` — cached and cross-replica service replies must be
+  byte-identical to fresh executions, and warm-started results to
+  cold ones.
 * service booleans and counters — ``admission_ok``, warm-phase
   ``cache_hit_rate``, and the cold-phase execution count.
 
 Usage::
 
     python benchmarks/check_regression.py \
-        --baseline benchmarks/BENCH_sizing.json --current BENCH_sizing.json
+        --baseline benchmarks/BENCH_service.json --current BENCH_service.json
 """
 
 from __future__ import annotations
@@ -38,97 +36,16 @@ import sys
 from pathlib import Path
 
 
-def _by_name(report: dict) -> dict[str, dict]:
-    return {entry["name"]: entry for entry in report["circuits"]}
-
-
-def compare_sizing(baseline: dict, current: dict, threshold: float) -> list[str]:
-    """Sizing-kernel regression check (empty list == pass)."""
-    failures: list[str] = []
-    if not current["summary"]["parity_ok"]:
-        for parity in current["summary"].get("parity_failures", []):
-            failures.append(f"kernel parity broken: {parity}")
-        if not current["summary"].get("parity_failures"):
-            failures.append("kernel parity broken")
-
-    base_circuits = _by_name(baseline)
-    cur_circuits = _by_name(current)
-    for name, base in base_circuits.items():
-        cur = cur_circuits.get(name)
-        if cur is None:
-            failures.append(f"{name}: missing from current run")
-            continue
-        for phase in ("w_phase", "tilos"):
-            base_speedup = base[phase].get("speedup")
-            cur_speedup = cur[phase].get("speedup")
-            if base_speedup and cur_speedup:
-                floor = base_speedup * (1.0 - threshold)
-                if cur_speedup < floor:
-                    failures.append(
-                        f"{name}: {phase} vectorized speedup regressed "
-                        f"{base_speedup:.2f}x -> {cur_speedup:.2f}x "
-                        f"(floor {floor:.2f}x)"
-                    )
-        # Deterministic work counters: more relaxation sweeps or more
-        # greedy bumps on the same instance is an algorithmic
-        # regression regardless of the runner.
-        for phase, counter in (("w_phase", "sweeps"), ("tilos", "bumps")):
-            base_value = base[phase][counter]
-            value = cur[phase][counter]
-            ceiling = base_value * (1.0 + threshold) + 8
-            if value > ceiling:
-                failures.append(
-                    f"{name}: {phase} {counter} grew "
-                    f"{base_value} -> {value} (ceiling {ceiling:.0f})"
-                )
-
-    # Batched-campaign tier: the throughput ratio is same-process like
-    # the kernel speedups, so it gets the same relative floor; a
-    # baseline that has the section requires the current run to have it
-    # too (a silently dropped tier is itself a regression).
-    base_batch = baseline.get("batch")
-    cur_batch = current.get("batch")
-    if base_batch:
-        if not cur_batch:
-            failures.append("batch: tier missing from current run")
-        else:
-            if cur_batch.get("mismatched_payloads"):
-                failures.append(
-                    f"batch: {cur_batch['mismatched_payloads']} job "
-                    f"payload(s) diverge between batched and per-job "
-                    f"execution"
-                )
-            base_ratio = base_batch.get("throughput_ratio")
-            cur_ratio = cur_batch.get("throughput_ratio")
-            if base_ratio and cur_ratio:
-                floor = base_ratio * (1.0 - threshold)
-                if cur_ratio < floor:
-                    failures.append(
-                        f"batch: throughput ratio regressed "
-                        f"{base_ratio:.2f}x -> {cur_ratio:.2f}x "
-                        f"(floor {floor:.2f}x)"
-                    )
-            if current["summary"].get("batch_ratio_ok") is False:
-                failures.append(
-                    f"batch: throughput ratio "
-                    f"{current['summary'].get('batch_throughput_ratio')}x "
-                    f"is below the absolute "
-                    f"{current['summary'].get('target_batch_ratio')}x "
-                    f"target"
-                )
-    return failures
-
-
 def compare_service(baseline: dict, current: dict, threshold: float) -> list[str]:
     """Service-tier regression check (empty list == pass).
 
     Gated signals are booleans (parity, admission), deterministic
     counters (cold-phase executions, warm hit rate, flood rejections)
     and the warm-vs-cold throughput ratio.  That ratio mixes compute
-    with HTTP/socket overhead, so it is noisier than the pure-kernel
-    ratios above — the floor is ``base * (1 - 2*threshold)`` with an
-    absolute backstop of 2x, rather than the tight single-threshold
-    floor used for compute benchmarks.
+    with HTTP/socket overhead, so it is noisier than a pure-compute
+    ratio — the floor is ``base * (1 - 2*threshold)`` with an absolute
+    backstop of 2x, rather than the tight single-threshold floor used
+    for compute benchmarks.
     """
     failures: list[str] = []
     base, cur = baseline["summary"], current["summary"]
@@ -230,7 +147,6 @@ def compare_warmstart(
 
 #: Comparison routine per benchmark document schema.
 COMPARATORS = {
-    "repro-bench-sizing/1": compare_sizing,
     "repro-bench-service/1": compare_service,
     "repro-bench-warmstart/1": compare_warmstart,
 }

@@ -44,7 +44,7 @@ class SizingContext:
     def seed(self):
         """TILOS solution at the target (computed lazily, cached)."""
         if self._seed is None:
-            self._seed = tilos_size(self.dag, self.target, timer=self.timer)
+            self._seed = tilos_size(self.dag, self.target)
         return self._seed
 
 

@@ -1,6 +1,6 @@
 """Iteration-engine benchmark: the incremental timing cone.
 
-A TILOS run with the incremental engine reports how many vertices it
+A TILOS run (incremental timing) reports how many vertices it
 actually re-propagated per bump, against the ``2 * n`` a from-scratch
 forward/backward STA would touch (acceptance target: < 50%), on the
 smoke-tier instances.
@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.dag import build_sizing_dag  # noqa: E402
 from repro.generators.iscas import SUITE, build_circuit  # noqa: E402
-from repro.sizing import TilosOptions, tilos_size  # noqa: E402
+from repro.sizing import tilos_size  # noqa: E402
 from repro.tech import default_technology  # noqa: E402
 from repro.timing import GraphTimer  # noqa: E402
 
@@ -52,9 +52,7 @@ def bench_circuit(name: str, spec: float) -> dict:
     dag = build_sizing_dag(circuit, default_technology(), mode="gate")
     timer = GraphTimer(dag)
     d_min = timer.analyze(dag.delays(dag.min_sizes())).critical_path_delay
-    seed = tilos_size(
-        dag, spec * d_min, TilosOptions(engine="incremental"), timer=timer
-    )
+    seed = tilos_size(dag, spec * d_min)
     tstats = seed.timing_stats
     return {
         "name": name,

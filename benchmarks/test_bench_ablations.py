@@ -57,10 +57,7 @@ def test_ablation_tilos_batch(benchmark, batch):
 
     def run():
         return tilos_size(
-            context.dag,
-            context.target,
-            TilosOptions(batch=batch),
-            timer=context.timer,
+            context.dag, context.target, TilosOptions(batch=batch)
         )
 
     result = once(benchmark, run)

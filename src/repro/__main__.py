@@ -52,7 +52,7 @@ from repro.errors import FlowError, ReproError
 from repro.flow.duality import BACKEND_CHOICES, check_backend, stats_scope
 from repro.generators.iscas import SUITE
 from repro.runner.spec import JOB_KINDS
-from repro.sizing import MinfloOptions, TilosOptions, minflotransit, tilos_size
+from repro.sizing import MinfloOptions, minflotransit, tilos_size
 from repro.tech import default_technology
 from repro.timing import analyze
 
@@ -105,7 +105,7 @@ def _cmd_size(args: argparse.Namespace) -> int:
     # cumulative per process, so printing them directly would mix in any
     # earlier solves (other commands, other library calls).
     with stats_scope() as flow_totals:
-        seed = tilos_size(dag, target, TilosOptions(kernel=args.kernel))
+        seed = tilos_size(dag, target)
         if not seed.feasible:
             print(f"TILOS stalled at {seed.critical_path_delay:.0f} ps — "
                   f"spec {args.spec} is below this circuit's delay floor")
@@ -116,7 +116,7 @@ def _cmd_size(args: argparse.Namespace) -> int:
         result = minflotransit(
             dag,
             target,
-            MinfloOptions(flow_backend=args.backend, kernel=args.kernel),
+            MinfloOptions(flow_backend=args.backend),
             x0=seed.x,
         )
     print(result.summary())
@@ -163,13 +163,11 @@ def _print_phase_stats(seed, result) -> None:
     """Per-phase wall-time breakdown of one sizing run.
 
     Attributes a regression to the phase that caused it: the TILOS
-    seed (with its sensitivity-kernel split), incremental timing,
-    delay balancing, the D-phase flow solve and the W-phase SMP
-    relaxation.
+    seed (with its scan/refresh split), incremental timing, delay
+    balancing, the D-phase flow solve and the W-phase SMP relaxation.
     """
     tstats = seed.timing_stats
     seed_note = (
-        f"kernel {tstats.get('kernel', '?')}: "
         f"scan {tstats.get('scan_seconds', 0.0):.3f}s, "
         f"refresh {tstats.get('refresh_seconds', 0.0):.3f}s"
     )
@@ -183,8 +181,7 @@ def _print_phase_stats(seed, result) -> None:
         ["D-phase flow", f"{phases.get('d_phase', 0.0):.3f}",
          "min-cost-flow budget redistribution"],
         ["W-phase", f"{phases.get('w_phase', 0.0):.3f}",
-         f"{result.w_sweeps_total} SMP sweeps, kernel "
-         f"{result.iterations[-1].kernel if result.iterations else '?'}"],
+         f"{result.w_sweeps_total} SMP sweeps"],
     ]
     print(format_table(
         ["phase", "wall s", "notes"], rows,
@@ -197,7 +194,7 @@ def _print_iteration_stats(seed, result) -> None:
     tstats = seed.timing_stats
     if tstats:
         print(
-            f"TILOS timing ({tstats['engine']}): re-propagated "
+            f"TILOS timing (incremental): re-propagated "
             f"{tstats['repropagated_vertices']} vertices over "
             f"{tstats['updates']} bumps = "
             f"{100 * tstats['cone_fraction']:.1f}% of a full pass each"
@@ -352,7 +349,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         cache=_campaign_cache(args),
         run_dir=run_dir,
         timeout=args.timeout,
-        batch=args.batch,
         warm_corpus=_warm_corpus_spec(args),
     )
     if args.json:
@@ -373,7 +369,6 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=_campaign_cache(args),
         timeout=args.timeout,
-        batch=args.batch,
         warm_corpus=_warm_corpus_spec(args),
     )
     if args.json:
@@ -426,7 +421,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.max_queue_depth,
         quota_rate=args.quota,
         quota_burst=args.quota_burst,
-        batch_drain=args.batch_drain,
         trace=not args.no_trace,
         warm_corpus=_warm_corpus_spec(args),
         faults=args.faults,
@@ -509,10 +503,6 @@ def _add_serve_parser(sub) -> None:
                               "RUN_DIR/queue.db, or a temporary file "
                               "without --run-dir); replicas given the "
                               "same path form one fleet")
-    p_serve.add_argument("--batch-drain", type=int, default=None,
-                         help="lease up to this many records per drain "
-                              "and fuse compatible batchable jobs (kind "
-                              "wphase) into one stacked kernel call")
     p_serve.add_argument("--max-queue-depth", type=int, default=None,
                          help="reject new jobs (429) once this many are "
                               "queued or running (default: unbounded)")
@@ -587,10 +577,6 @@ def _add_campaign_parser(sub) -> None:
                             "(results stay bitwise identical); bare flag "
                             "reuses the campaign cache, SPEC names "
                             "another backend")
-        p.add_argument("--batch", action="store_true",
-                       help="fuse compatible batchable jobs (kind "
-                            "wphase) into stacked kernel calls; "
-                            "per-job results are bit-identical")
         p.add_argument("--json", action="store_true",
                        help="print a JSON digest instead of tables")
         _add_fault_flags(p)
@@ -607,10 +593,8 @@ def _add_campaign_parser(sub) -> None:
                            help="preset sweep when --circuits is absent")
             p.add_argument("--kind", default="sizing",
                            choices=list(JOB_KINDS),
-                           help="job kind: sizing (full pipeline), "
-                                "wphase (one W-phase SMP instance, the "
-                                "batchable kernel workload), or phases "
-                                "(timing study)")
+                           help="job kind: sizing (full pipeline) or "
+                                "phases (timing study)")
             p.add_argument("--flow-backend", "--backend", dest="backend",
                            default="auto", type=_flow_backend,
                            choices=BACKEND_CHOICES)
@@ -771,13 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="D-phase LP solver: 'networkx' (network "
                              "simplex), 'scipy' (HiGHS) or 'auto' "
                              "(picks by LP size)")
-    p_size.add_argument("--kernel", choices=["vectorized", "scalar"],
-                        default="vectorized",
-                        help="sizing kernels for TILOS sensitivities and "
-                             "the W-phase relaxation: 'vectorized' "
-                             "(level-blocked array kernels, default) or "
-                             "'scalar' (reference loops; identical "
-                             "results)")
     p_size.add_argument("--flow-stats", action="store_true",
                         help="print per-backend solver statistics")
     p_size.add_argument("--phase-stats", action="store_true",

@@ -76,9 +76,7 @@ def area_delay_curve(
     for ratio in sorted(delay_ratios, reverse=True):
         target = ratio * d_min
         start = time.perf_counter()
-        seed = tilos_size(
-            dag, target, options=tilos_options, x0=warm, timer=timer
-        )
+        seed = tilos_size(dag, target, options=tilos_options, x0=warm)
         tilos_seconds = time.perf_counter() - start
         if not seed.feasible:
             curve.points.append(

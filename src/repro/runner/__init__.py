@@ -103,7 +103,6 @@ def run(
     run_dir: str | Path | None = None,
     timeout: float | None = None,
     append_log: bool = False,
-    batch: bool = False,
     trace: bool = True,
     warm_corpus: str | None = None,
 ) -> CampaignResult:
@@ -113,13 +112,11 @@ def run(
     to disable caching entirely; ``run_dir`` (optional) receives the
     ``campaign.jsonl`` run log that makes the campaign resumable plus
     (with ``trace=True``) a ``trace.jsonl`` of per-job span trees
-    readable by ``python -m repro trace``; ``batch`` fuses compatible
-    batchable jobs into stacked kernel calls (bit-identical per-job
-    results, see :func:`repro.runner.executor.run_campaign`);
-    ``warm_corpus`` (a cache backend spec string) turns on corpus
-    warm starts — cache misses probe prior solutions for a seed, with
-    a divergence monitor guaranteeing results bitwise identical to a
-    cold run (see :mod:`repro.runner.corpus`).
+    readable by ``python -m repro trace``; ``warm_corpus`` (a cache
+    backend spec string) turns on corpus warm starts — cache misses
+    probe prior solutions for a seed, with a divergence monitor
+    guaranteeing results bitwise identical to a cold run (see
+    :mod:`repro.runner.corpus`).
     """
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
@@ -142,7 +139,6 @@ def run(
             timeout=timeout,
             on_outcome=log.record if log is not None else None,
             keys=keys,
-            batch=batch,
             trace_sink=trace_sink,
             warm_corpus=warm_corpus,
         )
@@ -156,7 +152,6 @@ def resume(
     jobs: int = 1,
     cache: ResultCache | str | Path | None = DEFAULT_CACHE_DIR,
     timeout: float | None = None,
-    batch: bool = False,
     warm_corpus: str | None = None,
 ) -> CampaignResult:
     """Resume an interrupted campaign from its run directory.
@@ -181,6 +176,5 @@ def resume(
         run_dir=run_dir,
         timeout=timeout,
         append_log=True,
-        batch=batch,
         warm_corpus=warm_corpus,
     )

@@ -4,20 +4,21 @@ The content-addressed cache only pays off on *exact* repeats; realistic
 traffic is dominated by near-repeats — the same circuit re-sized at a
 drifted delay target.  This module turns the existing cache (any
 backend: ``disk:`` / ``sqlite:`` / ``tiered:``) into a retrieval
-corpus: every executed sizing/W-phase job stores a small *warm record*
-next to its payload (:meth:`repro.runner.cache.ResultCache.put`), and
-on a cache miss the nearest prior record by
-:func:`repro.sizing.fingerprint.fingerprint_distance` seeds the solve.
+corpus: every executed sizing job stores a small *warm record* — its
+TILOS bump trajectory — next to its payload
+(:meth:`repro.runner.cache.ResultCache.put`), and on a cache miss the
+nearest prior record by
+:func:`repro.sizing.fingerprint.fingerprint_distance` seeds the TILOS
+solve.
 
-Exactness contract: the corpus only *suggests*; the solver-side hooks
-(:func:`repro.sizing.tilos.tilos_size` trajectory replay,
-:func:`repro.sizing.wphase.w_phase` dominated-budget seeding) each
-carry their own divergence monitor and fall back to a cold start on
-any mismatch, so final sizes are bitwise-identical to cold-start runs
-whether or not a donor was found.  A record that fails validation
-(version, checksum, shape) is quarantined the way PR 6 treats corrupt
-cache entries — stripped from the entry so it cannot poison later
-probes — while the payload it rode with stays intact.
+Exactness contract: the corpus only *suggests*; the solver-side hook
+(:func:`repro.sizing.tilos.tilos_size` trajectory replay) carries its
+own divergence monitor and falls back to a cold start on any mismatch,
+so final sizes are bitwise-identical to cold-start runs whether or not
+a donor was found.  A record that fails validation (version, checksum,
+shape) is quarantined the way corrupt cache entries are — stripped
+from the entry so it cannot poison later probes — while the payload it
+rode with stays intact.
 
 Telemetry: every probed job reports ``warm_{hit,seeded,fallback}``
 (JobOutcome / queue records), and :func:`record_warm_outcome` folds
@@ -30,9 +31,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict
-from pathlib import Path
-
-import numpy as np
 
 from repro.obs.metrics import get_registry
 from repro.runner.cache import ResultCache
@@ -57,11 +55,13 @@ __all__ = [
 ]
 
 #: Version of the warm-record layout; rows recorded under any other
-#: version are quarantined rather than interpreted.
-WARM_RECORD_VERSION = 1
+#: version are quarantined rather than interpreted.  2: a sizing
+#: record's ``options`` no longer carry TILOS ``engine``/``kernel``,
+#: and W-phase records are gone.
+WARM_RECORD_VERSION = 2
 
 #: Job kinds that record and consume warm records.
-_WARM_KINDS = ("sizing", "wphase")
+_WARM_KINDS = ("sizing",)
 
 #: How many ranked candidates a probe will fetch-and-verify before
 #: giving up (each failed verification quarantines that record).
@@ -137,22 +137,15 @@ def verify_record(record: object) -> str | None:
     data = record.get("data")
     if not isinstance(data, dict):
         return "missing data"
-    if record["kind"] == "sizing":
-        bumps, trace = data.get("bumps"), data.get("trace")
-        if not isinstance(bumps, list) or not all(
-            isinstance(step, list)
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in step)
-            for step in bumps
-        ):
-            return "malformed bump trajectory"
-        if not _is_numbers(trace) or len(trace) != len(bumps) + 1:
-            return "malformed delay trace"
-    else:  # wphase
-        x, budgets = data.get("x"), data.get("budgets")
-        if not _is_numbers(x) or not _is_numbers(budgets):
-            return "malformed sizes/budgets"
-        if len(x) != len(budgets):
-            return "sizes/budgets length mismatch"
+    bumps, trace = data.get("bumps"), data.get("trace")
+    if not isinstance(bumps, list) or not all(
+        isinstance(step, list)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in step)
+        for step in bumps
+    ):
+        return "malformed bump trajectory"
+    if not _is_numbers(trace) or len(trace) != len(bumps) + 1:
+        return "malformed delay trace"
     return None
 
 
@@ -272,8 +265,9 @@ class WarmSession:
     """One job's warm-start context: probe, seed telemetry, record.
 
     Created worker-side by ``pool_entry`` when a corpus spec rides
-    along; the executors call ``probe_*`` before solving, ``note_seed``
-    after, and ``stage_*`` to attach the freshly computed trajectory.
+    along; the sizing executor calls :meth:`probe_sizing` before
+    solving, :meth:`note_seed` after, and :meth:`stage_sizing` to
+    attach the freshly computed trajectory.
     :meth:`as_obs` is the plain-dict summary shipped back through the
     result tuple — the parent folds it into metrics
     (:func:`record_warm_outcome`) and stores the staged record with
@@ -347,27 +341,6 @@ class WarmSession:
         )
         return self._probe(query)
 
-    def probe_wphase(
-        self, *, dag, tech, mode: str, engine: str, delay_spec: float,
-        budgets,
-    ) -> dict | None:
-        """Donor seed for a W-phase instance: ``{"x", "budgets",
-        "dag_sha"}`` arrays ready for :func:`repro.sizing.wphase.w_phase`,
-        or None."""
-        query = self._build_query(
-            "wphase", dag=dag, tech=tech, mode=mode,
-            options={"engine": engine}, delay_spec=delay_spec, target=None,
-        )
-        record = self._probe(query)
-        if record is None:
-            return None
-        data = record["data"]
-        return {
-            "x": np.asarray(data["x"], dtype=float),
-            "budgets": np.asarray(data["budgets"], dtype=float),
-            "dag_sha": record["dag_sha"],
-        }
-
     # -- post-solve bookkeeping ----------------------------------------
 
     def note_seed(self, status: str | None) -> None:
@@ -397,13 +370,6 @@ class WarmSession:
             "d_min": float(d_min),
             "bumps": [[int(v) for v in step] for step in seed.bumps],
             "trace": [float(cp) for cp in seed.trace],
-        })
-
-    def stage_wphase(self, result, budgets) -> None:
-        """Attach the job's own W-phase solution as a corpus record."""
-        self._stage({
-            "x": [float(v) for v in result.x],
-            "budgets": [float(b) for b in budgets],
         })
 
     def as_obs(self) -> dict:

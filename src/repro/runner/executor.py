@@ -20,14 +20,6 @@
   order no matter which worker finished first; streaming consumers
   (the JSONL run log) observe completion order but every record
   carries its job index.
-* **Batched kernel execution.**  ``run_campaign(..., batch=True)``
-  fuses compatible queued jobs — same kind, mode, backend and options;
-  today the batchable kind is ``wphase`` — into one stacked kernel
-  call (:mod:`repro.sizing.batch`) instead of N per-job invocations.
-  Results are bit-identical to the per-job loop (the cache probe, the
-  JSONL record and the stored payload stay per-job); jobs that fail
-  setup, time out, or refuse to converge fall back to the isolated
-  per-job path alone while the rest of the batch proceeds.
 
 Per-job flow-solver telemetry is collected with
 :func:`repro.flow.duality.stats_scope` — never from the module-global
@@ -71,8 +63,6 @@ from repro.runner.spec import CampaignSpec, Job, resolve_circuit
 __all__ = [
     "JobOutcome",
     "CampaignResult",
-    "batch_entry",
-    "batch_groups",
     "campaign_keys",
     "execute_job",
     "pool_entry",
@@ -89,15 +79,7 @@ COMPLETED_STATUSES = ("ok", "infeasible")
 #: Job kinds whose payloads are deterministic functions of the job
 #: fingerprint, hence content-addressable.  ``phases`` payloads are
 #: wall-clock measurements and never cached.
-CACHEABLE_KINDS = ("sizing", "wphase")
-
-#: Job kinds the batched strategy can fuse into one stacked kernel
-#: call.  ``sizing`` jobs are declined on purpose: their cost is
-#: dominated by the D-phase LP/flow solves, whose stacked optima need
-#: not match the per-job degenerate optima bit-for-bit — only the SMP
-#: relaxation has an exact batching story (see
-#: :mod:`repro.sizing.batch`).
-BATCHABLE_KINDS = ("wphase",)
+CACHEABLE_KINDS = ("sizing",)
 
 #: Fresh-pool attempts after worker deaths before the surviving jobs
 #: are failed outright — bounds a crash-looping workload (and, under
@@ -118,12 +100,6 @@ class JobOutcome:
     wall_seconds: float
     payload: dict | None
     error: str | None = None
-    #: Jobs fused into the stacked kernel call that produced this
-    #: outcome (0 = per-job execution, cached replay, or fallback).
-    batch_size: int = 0
-    #: Wall time of the shared stacked solve for the whole batch (every
-    #: member outcome reports the same figure; 0.0 outside a batch).
-    batched_seconds: float = 0.0
     #: Monotonic execution duration in seconds (``perf_counter``-based,
     #: immune to wall-clock steps — never negative).  Defaults to
     #: ``wall_seconds``, which is already monotonic; surfaces that
@@ -249,8 +225,7 @@ def _execute_sizing(
             if warm is not None:
                 with span("warmstart.seed", circuit=job.circuit) as ws:
                     seed = tilos_size(
-                        dag, target, topts, timer=timer,
-                        keep_trace=True, warm=donor,
+                        dag, target, topts, keep_trace=True, warm=donor,
                     )
                     ws.set(
                         result=(seed.warm or {}).get("result") or "cold",
@@ -259,7 +234,7 @@ def _execute_sizing(
                 warm.note_seed((seed.warm or {}).get("result"))
                 warm.stage_sizing(seed, d_min)
             else:
-                seed = tilos_size(dag, target, timer=timer)
+                seed = tilos_size(dag, target)
             seed_span.set(iterations=seed.iterations, feasible=seed.feasible)
         payload["seed"] = {
             "feasible": seed.feasible,
@@ -305,7 +280,7 @@ def _execute_phases(job: Job) -> tuple[str, dict]:
     timer = GraphTimer(dag)
     d_min = timer.analyze(dag.delays(dag.min_sizes())).critical_path_delay
     target = job.delay_spec * d_min
-    seed = tilos_size(dag, target, timer=timer)
+    seed = tilos_size(dag, target)
     x = seed.x if seed.feasible else dag.min_sizes() * 2
     delays = dag.delays(x)
     horizon = max(target, timer.analyze(delays).critical_path_delay)
@@ -339,115 +314,8 @@ def _execute_phases(job: Job) -> tuple[str, dict]:
     return "ok", payload
 
 
-def _wphase_context(job: Job) -> tuple:
-    """Shared per-(circuit, mode) setup for W-phase jobs.
-
-    Returns ``(circuit, dag, load_delay)`` where ``load_delay`` is the
-    load-dependent part of the minimum-size delays.  Everything here is
-    a deterministic function of the circuit token and mode alone, so
-    the batched executor shares one context across every delay spec of
-    the same circuit — the amortization the batch strategy exists for.
-    """
-    from repro.circuit.mapping import is_primitive_circuit, map_to_primitives
-    from repro.dag import build_sizing_dag
-    from repro.tech import default_technology
-
-    circuit = resolve_circuit(job.circuit)
-    if job.mode == "transistor" and not is_primitive_circuit(circuit):
-        circuit = map_to_primitives(circuit, suffix="")
-    dag = build_sizing_dag(circuit, default_technology(), mode=job.mode)
-    load_delay = dag.delays(dag.min_sizes()) - dag.model.intrinsic
-    return circuit, dag, load_delay
-
-
-def _wphase_budgets(dag, load_delay, delay_spec: float):
-    """Per-vertex delay budgets for a W-phase job.
-
-    ``intrinsic + delay_spec * load_delay(x_min)``: a spec of 1.0 is
-    met at minimum sizes, tighter specs force upsizing (and eventually
-    clamping — the ``infeasible`` outcome), and the headroom of every
-    loaded vertex stays positive for any positive spec.
-    """
-    return dag.model.intrinsic + delay_spec * load_delay
-
-
-def _wphase_payload(job: Job, circuit, dag, budgets, smp) -> tuple[str, dict]:
-    """Assemble the (status, payload) of a solved W-phase instance.
-
-    Shared verbatim by the per-job and batched paths — given the same
-    relaxation result both produce the same payload, which is what the
-    differential tests compare byte-for-byte (modulo the volatile
-    ``seconds`` field).
-    """
-    import numpy as np
-
-    delays = dag.model.delays(smp.x)
-    feasible = not smp.clamped
-    payload = {
-        "kind": "wphase",
-        "circuit": job.circuit,
-        "name": circuit.name,
-        "n_vertices": dag.n,
-        "delay_spec": job.delay_spec,
-        "feasible": feasible,
-        "sweeps": int(smp.sweeps),
-        "engine": smp.engine,
-        "clamped": [int(i) for i in smp.clamped],
-        "area": float(dag.area(smp.x)),
-        "worst_violation": float(np.max(delays - budgets)),
-        "sizes": [float(v) for v in smp.x],
-        "seconds": float(smp.seconds),
-    }
-    return ("ok" if feasible else "infeasible"), payload
-
-
-def _execute_wphase(
-    job: Job, warm: WarmSession | None = None
-) -> tuple[str, dict]:
-    """Solve one W-phase SMP instance (the batchable kernel workload).
-
-    ``warm`` is this job's warm-start session (None when the corpus is
-    off): the nearest dominated-budget solution seeds the relaxation —
-    :func:`~repro.sizing.wphase.w_phase` owns the exactness monitor, so
-    the final sizes are bitwise what a cold solve produces (only the
-    sweep count may shrink) — and the fresh solution is staged as this
-    job's own corpus record.
-    """
-    from repro.sizing import w_phase
-    from repro.tech import default_technology
-
-    with span("wphase.context", circuit=job.circuit):
-        circuit, dag, load_delay = _wphase_context(job)
-    budgets = _wphase_budgets(dag, load_delay, job.delay_spec)
-    seed = None
-    if warm is not None:
-        with span("warmstart.probe", circuit=job.circuit) as probe_span:
-            seed = warm.probe_wphase(
-                dag=dag,
-                tech=default_technology(),
-                mode=job.mode,
-                engine="vectorized",
-                delay_spec=job.delay_spec,
-                budgets=budgets,
-            )
-            probe_span.set(hit=seed is not None)
-    with span("wphase.smp", circuit=job.circuit) as smp_span:
-        if seed is not None:
-            with span("warmstart.seed", circuit=job.circuit) as ws:
-                result = w_phase(dag, budgets, warm=seed)
-                ws.set(result=result.warm or "cold")
-        else:
-            result = w_phase(dag, budgets)
-        smp_span.set(sweeps=int(result.sweeps), engine=result.engine)
-    if warm is not None:
-        warm.note_seed(result.warm)
-        warm.stage_wphase(result, budgets)
-    return _wphase_payload(job, circuit, dag, budgets, result)
-
-
 _EXECUTORS = {
     "sizing": _execute_sizing,
-    "wphase": _execute_wphase,
     "phases": _execute_phases,
 }
 
@@ -456,7 +324,7 @@ def execute_job(job: Job, warm: WarmSession | None = None) -> tuple[str, dict]:
     """Run one job to completion in this process; returns (status, payload).
 
     ``warm`` (a :class:`~repro.runner.corpus.WarmSession`) reaches the
-    cacheable executors only — phase-timing jobs are wall-clock
+    cacheable sizing executor only — phase-timing jobs are wall-clock
     measurements with nothing to seed.
     """
     probe("solver")  # injected solver-phase delays land here
@@ -508,6 +376,12 @@ def _with_timeout(fn, timeout: float | None):
     platforms, service drain threads executing inline) the budget
     is a watchdog thread (:func:`_watchdog_timeout`), so a timeout is
     *always* enforced rather than silently skipped.
+
+    The alarm handler records that it fired before it raises: an
+    alarm that lands inside a finalizer (``__del__``) has its
+    exception printed as "Exception ignored" and swallowed, and ``fn``
+    runs on to a normal return.  Such a job still overran its budget,
+    so it is reported as a timeout all the same.
     """
     if not timeout:
         return fn()
@@ -515,16 +389,24 @@ def _with_timeout(fn, timeout: float | None):
         hasattr(signal, "SIGALRM")
         and threading.current_thread() is threading.main_thread()
     ):
+        message = f"job exceeded its {timeout:g}s budget"
+        fired = False
+
         def _alarm(signum, frame):
-            raise JobTimeoutError(f"job exceeded its {timeout:g}s budget")
+            nonlocal fired
+            fired = True
+            raise JobTimeoutError(message)
 
         previous = signal.signal(signal.SIGALRM, _alarm)
         signal.setitimer(signal.ITIMER_REAL, timeout)
         try:
-            return fn()
+            value = fn()
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+        if fired:
+            raise JobTimeoutError(message)
+        return value
     return _watchdog_timeout(fn, timeout)
 
 
@@ -622,229 +504,11 @@ def pool_entry(
     return status, payload, error, time.perf_counter() - start, obs
 
 
-# -- batched execution (stacked kernel call, runs in the worker) ------
-
-
-def batch_groups(
-    pending: list[tuple[int, Job, str | None]],
-) -> tuple[list[list[tuple[int, Job, str | None]]], list[tuple[int, Job, str | None]]]:
-    """Partition pending jobs into fusable batches plus leftovers.
-
-    Jobs fuse when they share kind, mode, flow backend and option
-    overrides (one technology serves the whole campaign, so this is
-    the "same technology/options" compatibility the stacked kernel
-    needs); everything else — including every non-batchable kind —
-    comes back in ``rest`` and runs through the ordinary per-job
-    paths.  Group order and in-group job order follow expansion order.
-    """
-    groups: dict[tuple, list[tuple[int, Job, str | None]]] = {}
-    rest: list[tuple[int, Job, str | None]] = []
-    for item in pending:
-        job = item[1]
-        if job.kind in BATCHABLE_KINDS:
-            signature = (job.kind, job.mode, job.flow_backend, job.options)
-            groups.setdefault(signature, []).append(item)
-        else:
-            rest.append(item)
-    return list(groups.values()), rest
-
-
-def batch_entry(
-    jobs: list[Job],
-    timeout: float | None,
-    traces: list[dict | None] | None = None,
-    faults: tuple | None = None,
-) -> list[tuple[str, dict | None, str | None, float, float, dict | None]]:
-    """Run a compatible job group through one stacked kernel call.
-
-    The batched twin of :func:`pool_entry`: returns one
-    ``(status, payload, error, wall_seconds, batched_seconds, obs)``
-    tuple of primitives per job, in job order, so it pickles cleanly
-    across a process pool.  ``batched_seconds`` is the shared
-    stacked-solve wall time (0.0 when that job was served by the
-    per-job fallback).  ``traces`` optionally carries one
-    :func:`~repro.obs.trace.current_carrier` dict per job; each traced
-    job's ``obs`` blob ships its spans back (``batch.setup`` under its
-    own budget, plus a ``batch.solve_share`` span whose duration is
-    the job's *amortized share* of the stacked solve, so a parent
-    span's children never sum past the parent).
-
-    Failure isolation works in three layers:
-
-    * per-job setup (circuit resolution, DAG build, budget validation)
-      runs under the job's own wall-time budget — a bad token or a hung
-      build fails that job alone;
-    * the stacked solve runs under the *sum* of the surviving jobs'
-      budgets; if it raises or times out, every survivor re-runs
-      through :func:`pool_entry` individually, each under its own
-      budget — the batch degrades to the per-job loop instead of
-      failing collectively;
-    * a job whose instance does not converge in the stacked run (its
-      result slot is None) replays through :func:`pool_entry` alone,
-      which raises the same diagnostic a solo run would.
-    """
-    from repro.sizing.kernels import get_smp_plan
-    from repro.sizing.smp import smp_headroom
-
-    injector = install_from_args(faults)
-    n = len(jobs)
-    raws: list[tuple | None] = [None] * n
-    setup_seconds = [0.0] * n
-    contexts: dict[tuple[str, str], tuple] = {}
-    prepared: dict[int, tuple] = {}
-    traces = list(traces) if traces else [None] * n
-    sinks: list[SpanSink | None] = [
-        SpanSink() if carrier else None for carrier in traces
-    ]
-
-    def job_scope(pos: int):
-        carrier = traces[pos]
-        if carrier is None:
-            return nullcontext()
-        return trace_scope(
-            sink=sinks[pos],
-            trace_id=carrier.get("trace_id"),
-            parent_id=carrier.get("parent_id"),
-        )
-
-    def job_obs(pos: int) -> dict | None:
-        sink = sinks[pos]
-        return {"spans": sink.drain()} if sink is not None else None
-
-    for pos, job in enumerate(jobs):
-        start = time.perf_counter()
-
-        def setup(job: Job = job):
-            context_key = (job.circuit, job.mode)
-            if context_key not in contexts:
-                # Successes are shared across the batch; failures are
-                # not cached, so every job owning the token reports
-                # the error itself (as it would per-job).
-                contexts[context_key] = _wphase_context(job)
-            circuit, dag, load_delay = contexts[context_key]
-            budgets = _wphase_budgets(dag, load_delay, job.delay_spec)
-            smp_headroom(dag.model, budgets)  # invalid budgets fail here
-            return circuit, dag, budgets, get_smp_plan(dag)
-
-        try:
-            with job_scope(pos):
-                with span("batch.setup", circuit=job.circuit):
-                    prepared[pos] = _with_timeout(setup, timeout)
-            setup_seconds[pos] = time.perf_counter() - start
-        except JobTimeoutError as exc:
-            raws[pos] = (
-                "timeout", None, str(exc),
-                time.perf_counter() - start, 0.0, job_obs(pos),
-            )
-        except Exception as exc:  # noqa: BLE001 — isolation is the point
-            detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            raws[pos] = (
-                "failed", None, detail,
-                time.perf_counter() - start, 0.0, job_obs(pos),
-            )
-
-    live = sorted(prepared)
-    solved = None
-    batched_seconds = 0.0
-    solve_wall = time.time()
-    if live:
-        solve_start = time.perf_counter()
-
-        def stacked():
-            from repro.sizing.batch import (
-                build_batched_smp_plan,
-                solve_smp_batched,
-            )
-
-            models = [prepared[pos][1].model for pos in live]
-            plan = build_batched_smp_plan(
-                models, [prepared[pos][3] for pos in live]
-            )
-            return solve_smp_batched(
-                models,
-                [prepared[pos][2] for pos in live],
-                [prepared[pos][1].lower for pos in live],
-                [prepared[pos][1].upper for pos in live],
-                plan,
-            )
-
-        try:
-            budget = timeout * len(live) if timeout else None
-            solved = _with_timeout(stacked, budget)
-            batched_seconds = time.perf_counter() - solve_start
-        except Exception:  # noqa: BLE001 — degrade to the per-job loop
-            solved = None
-
-    if solved is None:
-        solved = [None] * len(live)
-    for pos, smp in zip(live, solved):
-        job = jobs[pos]
-        if smp is None:
-            # Stacked solve unavailable (failed, timed out) or this
-            # instance did not converge: the isolated per-job path is
-            # the authority, including its error text.
-            status, payload, error, wall, fallback_obs = pool_entry(
-                job, timeout, traces[pos]
-            )
-            if fallback_obs and sinks[pos] is not None:
-                sinks[pos].emit_many(fallback_obs.get("spans") or ())
-            raws[pos] = (status, payload, error, wall, 0.0, job_obs(pos))
-            continue
-        carrier = traces[pos]
-        if carrier is not None:
-            # The stacked solve served every live job at once; each
-            # traced job records its amortized share so per-parent
-            # child durations stay <= the parent's.
-            sinks[pos].emit({
-                "type": "span",
-                "trace": carrier.get("trace_id"),
-                "id": new_span_id(),
-                "parent": carrier.get("parent_id"),
-                "name": "batch.solve_share",
-                "ts": solve_wall,
-                "duration_s": batched_seconds / len(live),
-                "attrs": {
-                    "batch_size": len(live),
-                    "batched_seconds": batched_seconds,
-                },
-            })
-        start = time.perf_counter()
-        try:
-            circuit, dag, budgets, _plan = prepared[pos]
-            status, payload = _wphase_payload(job, circuit, dag, budgets, smp)
-            wall = (
-                setup_seconds[pos]
-                + batched_seconds / len(live)
-                + (time.perf_counter() - start)
-            )
-            raws[pos] = (
-                status, payload, None, wall, batched_seconds, job_obs(pos),
-            )
-        except Exception as exc:  # noqa: BLE001 — isolation is the point
-            detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            raws[pos] = (
-                "failed", None, detail,
-                setup_seconds[pos] + (time.perf_counter() - start),
-                batched_seconds, job_obs(pos),
-            )
-    if injector is not None and multiprocessing.parent_process() is not None:
-        # Worker-process fault events ride home on the first job's obs
-        # blob (batch-level faults have no single owning job anyway).
-        events = injector.drain_events()
-        if events and raws and raws[0] is not None:
-            first = dict(raws[0][5] or {})
-            first["faults"] = events
-            raws[0] = (*raws[0][:5], first)
-    return raws
-
-
 # -- the driver (parent process) --------------------------------------
 
 
 def _payload_status(payload: dict) -> str:
-    """Completed status a cached payload replays as (kind-aware)."""
-    if payload.get("kind") == "wphase":
-        return "ok" if payload.get("feasible") else "infeasible"
+    """Completed status a cached sizing payload replays as."""
     return "ok" if payload.get("result") is not None else "infeasible"
 
 
@@ -883,9 +547,6 @@ def store_outcome(
 
     No-op for cache misses that failed or timed out, for replayed
     (already cached) outcomes, and for uncacheable job kinds.
-    Batch telemetry lives on the :class:`JobOutcome` and the JSONL
-    record, never in the stored payload — a batched and a per-job
-    execution of the same fingerprint must cache identical entries.
 
     ``warm`` optionally attaches the job's own corpus record to the
     entry (see :meth:`~repro.runner.cache.ResultCache.put`); it rides
@@ -1019,7 +680,6 @@ def run_campaign(
     timeout: float | None = None,
     on_outcome=None,
     keys: list[str | None] | None = None,
-    batch: bool = False,
     trace_sink: SpanSink | None = None,
     warm_corpus: str | None = None,
 ) -> CampaignResult:
@@ -1034,14 +694,6 @@ def run_campaign(
     builds the circuit, so callers that already did — e.g. to write the
     run-log header — pass them in rather than paying twice).
 
-    ``batch=True`` fuses compatible cache-missed jobs of
-    :data:`BATCHABLE_KINDS` into stacked kernel calls
-    (:func:`batch_entry`); fused groups run inline in the driver —
-    avoiding N pool round-trips is the point — while incompatible
-    leftovers take the ordinary per-job paths below.  Per-job results
-    are bit-identical either way; only the :class:`JobOutcome` batch
-    telemetry differs.
-
     ``trace_sink`` enables tracing: every job gets its own trace id
     and a root ``job`` span; worker-side spans ship back through the
     result tuples and land in the sink (the run directory's
@@ -1054,8 +706,7 @@ def run_campaign(
     seeds its solver (payloads stay bitwise-identical to cold runs —
     the solver hooks own the fallback), and every completed job's own
     trajectory is stored with its cache entry for future probes, so a
-    drifting sweep warms itself up as it goes.  Batched groups run
-    cold: the stacked kernel has no per-job seeding story.
+    drifting sweep warms itself up as it goes.
     """
     if isinstance(spec, CampaignSpec):
         name = spec.name
@@ -1123,32 +774,6 @@ def run_campaign(
     fault_args = (
         fault_injector.config_args() if fault_injector is not None else None
     )
-
-    if batch and pending:
-        groups, pending = batch_groups(pending)
-        for group in groups:
-            raws = batch_entry(
-                [job for _, job, _ in group],
-                timeout,
-                traces=[carrier_for(index) for index, _, _ in group],
-                faults=fault_args,
-            )
-            for (index, job, key), raw in zip(group, raws):
-                status, payload, error, wall, batched_seconds, obs = raw
-                finish(JobOutcome(
-                    index=index,
-                    job=job,
-                    key=key,
-                    status=status,
-                    cached=False,
-                    wall_seconds=wall,
-                    payload=payload,
-                    error=error,
-                    # batched_seconds == 0.0 marks a per-job fallback:
-                    # that outcome was not produced by the stacked call.
-                    batch_size=len(group) if batched_seconds > 0.0 else 0,
-                    batched_seconds=batched_seconds,
-                ), obs)
 
     if pending and jobs <= 1:
         for index, job, key in pending:

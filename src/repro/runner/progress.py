@@ -56,12 +56,6 @@ def job_summary(outcome: JobOutcome) -> dict:
         flow = payload.get("flow_stats") or {}
         summary["flow_solves"] = sum(s["solves"] for s in flow.values())
         summary["flow_wall_s"] = sum(s["wall_time_s"] for s in flow.values())
-    elif payload.get("kind") == "wphase":
-        summary["feasible"] = payload.get("feasible")
-        summary["area"] = payload.get("area")
-        summary["sweeps"] = payload.get("sweeps")
-        summary["n_clamped"] = len(payload.get("clamped") or ())
-        summary["worst_violation"] = payload.get("worst_violation")
     elif payload.get("kind") == "phases":
         for key in (
             "width",
@@ -105,13 +99,7 @@ class RunLog:
         })
 
     def record(self, outcome: JobOutcome) -> None:
-        """Stream one finished job (called in completion order).
-
-        Outcomes produced by a stacked kernel call additionally carry
-        their batch telemetry (``batch_size``, ``batched_seconds``) so
-        a run log distinguishes batched execution from the per-job loop
-        and from cache replay — the payloads themselves are identical.
-        """
+        """Stream one finished job (called in completion order)."""
         record = {
             "type": "job",
             "index": outcome.index,
@@ -129,9 +117,6 @@ class RunLog:
         warm = outcome.warm_summary()
         if warm is not None:
             record["warm"] = warm
-        if outcome.batch_size:
-            record["batch_size"] = outcome.batch_size
-            record["batched_seconds"] = outcome.batched_seconds
         self._append(record)
 
 

@@ -31,16 +31,10 @@ def format_campaign(result: CampaignResult) -> str:
     rows = []
     for outcome in result.outcomes:
         summary = job_summary(outcome)
-        if outcome.cached:
-            provenance = "hit"
-        elif outcome.batch_size:
-            provenance = f"batch:{outcome.batch_size}"
-        else:
-            provenance = "run"
         rows.append([
             outcome.job.label(),
             outcome.status,
-            provenance,
+            "hit" if outcome.cached else "run",
             f"{outcome.wall_seconds:.2f}s",
             _fmt(summary.get("area"), ".1f"),
             _fmt(summary.get("saving_percent"), ".1f"),
@@ -79,7 +73,6 @@ def campaign_to_dict(result: CampaignResult) -> dict:
                 "status": o.status,
                 "cached": o.cached,
                 "wall_seconds": o.wall_seconds,
-                "batch_size": o.batch_size,
                 "summary": job_summary(o),
                 "error": o.error,
             }

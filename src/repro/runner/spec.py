@@ -37,12 +37,10 @@ __all__ = [
 ]
 
 #: Job kinds the executor knows how to run.  ``sizing`` is the full
-#: TILOS + MINFLOTRANSIT pipeline; ``wphase`` solves one W-phase SMP
-#: instance (budgets derived from the delay spec) — the batchable
-#: kernel workload, cacheable like ``sizing``; ``phases`` times one
-#: STA / balance / W-phase / D-phase pass (the scaling study) and is
-#: never cached — wall-clock measurements are not content-addressable.
-JOB_KINDS = ("sizing", "wphase", "phases")
+#: TILOS + MINFLOTRANSIT pipeline; ``phases`` times one STA / balance /
+#: W-phase / D-phase pass (the scaling study) and is never cached —
+#: wall-clock measurements are not content-addressable.
+JOB_KINDS = ("sizing", "phases")
 
 _SUITE_SPECS = {spec.name: spec.delay_spec for spec in SUITE}
 

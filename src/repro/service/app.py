@@ -88,8 +88,6 @@ from repro.runner.corpus import warmstart_counts
 from repro.runner.executor import (
     JobOutcome,
     apply_warm,
-    batch_entry,
-    batch_groups,
     pool_entry,
     probe_cache,
     store_outcome,
@@ -116,7 +114,7 @@ _REQUEST_FIELDS = frozenset((
 #: Job kinds the service accepts.  ``phases`` is excluded on purpose:
 #: its payloads are wall-clock measurements, meaningless on a shared
 #: service host and never cacheable.
-_SERVICE_KINDS = ("sizing", "wphase")
+_SERVICE_KINDS = ("sizing",)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -244,12 +242,6 @@ class SizingService:
     re-claimed; ``sync_wait`` caps how long a synchronous request
     blocks on the queue before degrading to an async 202 ticket.
 
-    ``batch_drain`` makes each drain worker lease up to that many
-    records per round and fuse compatible batchable jobs (kind
-    ``wphase``) into one stacked kernel call
-    (:func:`~repro.runner.executor.batch_entry`); per-job results are
-    bit-identical to the single-lease loop.
-
     ``trace=False`` disables span collection entirely (``--no-trace``;
     metrics stay on — they are nearly free).  With tracing on and a
     ``run_dir``, spans append to ``run_dir/trace.jsonl``.
@@ -257,8 +249,7 @@ class SizingService:
     ``warm_corpus`` (a cache backend spec string) turns on corpus warm
     starts: cache misses probe prior solutions for a seed, with a
     divergence monitor guaranteeing results bitwise identical to a
-    cold run (see :mod:`repro.runner.corpus`).  Batched drains run
-    cold — stacked solves have no per-job seeding point.
+    cold run (see :mod:`repro.runner.corpus`).
 
     Failure handling: ``max_attempts`` bounds how many times the queue
     re-leases a job before poison-parking it in the dead-letter state;
@@ -281,7 +272,6 @@ class SizingService:
         quota_burst: float | None = None,
         visibility_timeout: float = 600.0,
         sync_wait: float = 300.0,
-        batch_drain: int | None = None,
         trace: bool = True,
         warm_corpus: str | None = None,
         max_attempts: int = MAX_ATTEMPTS,
@@ -290,11 +280,6 @@ class SizingService:
     ):
         if jobs < 1:
             raise ServiceError(f"jobs must be >= 1, got {jobs}", status=500)
-        if batch_drain is not None and batch_drain < 1:
-            raise ServiceError(
-                f"batch_drain must be >= 1, got {batch_drain}", status=500
-            )
-        self.batch_drain = batch_drain
         self.warm_corpus = warm_corpus
         self.fault_spec = faults or None
         if cache is not None and not isinstance(cache, ResultCache):
@@ -338,15 +323,6 @@ class SizingService:
             "repro_jobs_finished_total",
             "Executed jobs by terminal status.",
             ("status",),
-        )
-        self._m_batched = self.metrics.counter(
-            "repro_batched_jobs_total",
-            "Executed jobs served by a stacked batch solve.",
-        )
-        self._m_batch_size = self.metrics.histogram(
-            "repro_batch_size",
-            "Jobs fused per stacked batch solve.",
-            buckets=(1, 2, 4, 8, 16, 32, 64),
         )
         self._m_job_seconds = self.metrics.histogram(
             "repro_job_seconds",
@@ -593,9 +569,6 @@ class SizingService:
             else outcome.wall_seconds,
             kind=outcome.job.kind,
         )
-        if outcome.batch_size:
-            self._m_batched.inc()
-            self._m_batch_size.observe(outcome.batch_size)
         for name, stats in (
             (outcome.payload or {}).get("flow_stats") or {}
         ).items():
@@ -612,19 +585,11 @@ class SizingService:
         return self.store.finish(record.id, outcome)
 
     def _outcome_from(
-        self, record: JobRecord, raw: tuple, batch: int = 0
+        self, record: JobRecord, raw: tuple
     ) -> tuple[JobOutcome, dict | None]:
-        """Build ``(JobOutcome, obs)`` from a worker's raw tuple.
-
-        Accepts the 5-tuple of :func:`pool_entry` ``(status, payload,
-        error, wall, obs)`` and the 6-tuple of :func:`batch_entry`
-        (whose fifth element is the shared stacked-solve time; 0.0
-        there marks a per-job fallback, reported as unbatched).
-        """
-        status, payload, error, wall = raw[:4]
-        batched_seconds, obs = (
-            (raw[4], raw[5]) if len(raw) == 6 else (0.0, raw[4])
-        )
+        """Build ``(JobOutcome, obs)`` from the 5-tuple of
+        :func:`pool_entry` ``(status, payload, error, wall, obs)``."""
+        status, payload, error, wall, obs = raw
         outcome = JobOutcome(
             index=0,
             job=record.job,
@@ -634,8 +599,6 @@ class SizingService:
             wall_seconds=wall,
             payload=payload,
             error=error,
-            batch_size=batch if batched_seconds > 0.0 else 0,
-            batched_seconds=batched_seconds,
             trace_id=record.trace_id,
         )
         return outcome, obs
@@ -750,87 +713,42 @@ class SizingService:
                 self.store.idle(seen)
 
     def _drain_round(self) -> bool:
-        """Lease up to ``batch_drain or 1`` records and run them; True
-        when any work was claimed.
+        """Lease one record and run it; True when work was claimed.
 
-        Every leased job is re-probed against the cache first — another
+        The leased job is re-probed against the cache first — another
         replica may have finished an identical job between enqueue and
-        lease.  With ``batch_drain`` set, batchable misses (grouped by
-        :func:`~repro.runner.executor.batch_groups`) fuse into one
-        stacked kernel call per group — each group is *one* pool task,
-        so a replica amortizes pool round-trips exactly like ``campaign
-        run --batch`` amortizes kernel invocations.  Every other miss
-        runs through :func:`pool_entry`.
+        lease.  A miss runs through :func:`pool_entry`.
         """
-        records: list[JobRecord] = []
-        while len(records) < (self.batch_drain or 1):
-            try:
-                record = self.store.lease(self.worker_id)
-            except Exception:  # noqa: BLE001 — a busy/locked DB must not
-                break  # kill the drain thread; retry next round
-            if record is None:
-                break
-            records.append(record)
-        misses: list[tuple[JobRecord, str | None, str | None]] = []
-        for record in records:
-            tid, root = self._resume_trace(record)
-            with self._drain_scope(tid, root):
-                with span("cache.probe") as probe_span:
-                    hit = probe_cache(record.job, record.key, self.cache)
-                    probe_span.set(hit=hit is not None)
-                if hit is None:
-                    misses.append((record, tid, root))
-                    continue
+        try:
+            record = self.store.lease(self.worker_id)
+        except Exception:  # noqa: BLE001 — a busy/locked DB must not
+            return False  # kill the drain thread; retry next round
+        if record is None:
+            return False
+        tid, root = self._resume_trace(record)
+        with self._drain_scope(tid, root):
+            with span("cache.probe") as probe_span:
+                hit = probe_cache(record.job, record.key, self.cache)
+                probe_span.set(hit=hit is not None)
+            if hit is not None:
                 self._m_cache_hits.inc()
                 finished = self.store.finish(record.id, hit)
-            self._emit_root(record, finished, tid, root)
-        items = [
-            (pos, record.job, record.key)
-            for pos, (record, _tid, _root) in enumerate(misses)
-        ]
-        groups, rest = batch_groups(items) if self.batch_drain else ([], items)
-        for group in groups:
-            self._run_batch([misses[pos] for pos, _job, _key in group])
-        for pos, _job, _key in rest:
-            self._run_one(*misses[pos])
-        return bool(records)
-
-    def _run_one(
-        self, record: JobRecord, tid: str | None, root: str | None,
-    ) -> None:
-        """Execute one leased miss through :func:`pool_entry`, publish it."""
-        with self._drain_scope(tid, root):
-            try:
-                raw = self._run_pooled(
-                    pool_entry, record.job, self.timeout, self._carrier(),
-                    self.warm_corpus, self._fault_args(),
-                )
-            except Exception as exc:  # pool broke twice under this job
-                error = f"{type(exc).__name__}: {exc}"
-                raw = ("failed", None, error, 0.0, None)
-            finished = self._finish(record, *self._outcome_from(record, raw))
+            else:
+                finished = self._run_one(record)
         self._emit_root(record, finished, tid, root)
+        return True
 
-    def _run_batch(
-        self, members: list[tuple[JobRecord, str | None, str | None]],
-    ) -> None:
-        """Execute a fused group as one :func:`batch_entry` pool task."""
-        carriers = [
-            {"trace_id": tid, "parent_id": root} if tid is not None else None
-            for _record, tid, root in members
-        ]
+    def _run_one(self, record: JobRecord) -> JobRecord:
+        """Execute one leased miss through :func:`pool_entry`, publish it."""
         try:
-            raws = self._run_pooled(
-                batch_entry, [record.job for record, _, _ in members],
-                self.timeout, carriers, self._fault_args(),
+            raw = self._run_pooled(
+                pool_entry, record.job, self.timeout, self._carrier(),
+                self.warm_corpus, self._fault_args(),
             )
-        except Exception as exc:  # pool broke twice under this batch
+        except Exception as exc:  # pool broke twice under this job
             error = f"{type(exc).__name__}: {exc}"
-            raws = [("failed", None, error, 0.0, 0.0, None)] * len(members)
-        for (record, tid, root), raw in zip(members, raws):
-            outcome, obs = self._outcome_from(record, raw, batch=len(members))
-            finished = self._finish(record, outcome, obs)
-            self._emit_root(record, finished, tid, root)
+            raw = ("failed", None, error, 0.0, None)
+        return self._finish(record, *self._outcome_from(record, raw))
 
     def get_job(self, job_id: str) -> tuple[JobRecord, dict | None]:
         """A job record plus its full payload when one is available.
@@ -961,7 +879,6 @@ class SizingService:
             )
         cache_hits = int(self._m_cache_hits.total())
         executed = int(self._m_executed.total())
-        batched_jobs = int(self._m_batched.total())
         breaker = self._cache_breaker()
         injector = active_faults()
         return {
@@ -969,12 +886,10 @@ class SizingService:
             "jobs": self.store.counts(),
             "cache_hits": cache_hits,
             "executed": executed,
-            "batched_jobs": batched_jobs,
             "executor": {
                 "workers": self.jobs,
                 "kind": "thread" if self.jobs == 1 else "process",
                 "timeout": self.timeout,
-                "batch_drain": self.batch_drain,
                 "warm_corpus": self.warm_corpus,
             },
             "cache_dir": (

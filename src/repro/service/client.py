@@ -398,8 +398,8 @@ class ServiceClient:
         server degraded the synchronous request to a 202 ticket (fleet
         mode under load), the client keeps waiting client-side up to
         ``wait_timeout``.  ``wait=False`` is :meth:`submit`.
-        ``kind`` selects the job kind (``sizing`` default, or
-        ``wphase`` — the batchable kernel workload).
+        ``kind`` is the request's job kind; the service runs only
+        ``sizing`` jobs (the default) and answers 400 to any other.
         """
         if not wait:
             return self.submit(

@@ -493,7 +493,6 @@ def serve(
     max_queue_depth: int | None = None,
     quota_rate: float | None = None,
     quota_burst: float | None = None,
-    batch_drain: int | None = None,
     trace: bool = True,
     warm_corpus: str | None = None,
     visibility_timeout: float = 600.0,
@@ -509,11 +508,9 @@ def serve(
     ``queue`` (a database path shared by all replicas) turns this
     process into one replica of a fleet; ``max_queue_depth`` and
     ``quota_rate``/``quota_burst`` configure admission control;
-    ``batch_drain`` fuses leased batchable jobs into stacked kernel
-    calls; ``trace=False`` (``--no-trace``) disables
-    span collection; ``warm_corpus`` (a backend spec) turns on corpus
-    warm starts for cache misses (results stay bitwise identical to
-    cold runs).
+    ``trace=False`` (``--no-trace``) disables span collection;
+    ``warm_corpus`` (a backend spec) turns on corpus warm starts for
+    cache misses (results stay bitwise identical to cold runs).
 
     Failure knobs: ``visibility_timeout`` is the queue lease duration
     before a dead worker's jobs are re-claimed; ``max_attempts``
@@ -532,7 +529,7 @@ def serve(
         jobs=jobs, cache=cache_arg, run_dir=run_dir, timeout=timeout,
         queue=queue, max_queue_depth=max_queue_depth,
         quota_rate=quota_rate, quota_burst=quota_burst,
-        batch_drain=batch_drain, trace=trace, warm_corpus=warm_corpus,
+        trace=trace, warm_corpus=warm_corpus,
         visibility_timeout=visibility_timeout, max_attempts=max_attempts,
         faults=faults, fault_seed=fault_seed,
     )

@@ -1,10 +1,5 @@
 """Sizing optimizers: TILOS baseline, D-phase, W-phase, MINFLOTRANSIT."""
 
-from repro.sizing.batch import (
-    BatchedSmpPlan,
-    build_batched_smp_plan,
-    solve_smp_batched,
-)
 from repro.sizing.dphase import (
     DPhaseResult,
     area_sensitivities,
@@ -12,7 +7,6 @@ from repro.sizing.dphase import (
     d_phase,
 )
 from repro.sizing.kernels import (
-    SMP_ENGINES,
     SmpPlan,
     TilosPlan,
     get_smp_plan,
@@ -28,19 +22,17 @@ from repro.sizing.minflo import MinfloOptions, minflotransit
 from repro.sizing.recovery import RecoveryResult, greedy_downsize
 from repro.sizing.result import IterationRecord, SizingResult
 from repro.sizing.serialize import load_result, save_result
-from repro.sizing.smp import SmpResult, solve_smp
+from repro.sizing.smp import SmpResult
 from repro.sizing.tilos import TilosOptions, TilosResult, require_feasible, tilos_size
 from repro.sizing.wphase import WPhaseResult, w_phase
 
 __all__ = [
-    "BatchedSmpPlan",
     "DPhaseResult",
     "IterationRecord",
     "LagrangianOptions",
     "LagrangianResult",
     "MinfloOptions",
     "RecoveryResult",
-    "SMP_ENGINES",
     "SizingResult",
     "SmpPlan",
     "SmpResult",
@@ -49,7 +41,6 @@ __all__ = [
     "TilosResult",
     "WPhaseResult",
     "area_sensitivities",
-    "build_batched_smp_plan",
     "build_dphase_lp",
     "d_phase",
     "get_smp_plan",
@@ -60,8 +51,6 @@ __all__ = [
     "minflotransit",
     "require_feasible",
     "save_result",
-    "solve_smp",
-    "solve_smp_batched",
     "solve_smp_blocked",
     "tilos_size",
     "w_phase",

@@ -1,29 +1,29 @@
-"""Vectorized sizing kernels: level-blocked SMP + array TILOS scoring.
+"""Sizing kernels: level-blocked SMP + array TILOS scoring.
 
-The two sizing phases that still ran scalar Python after the flow and
-timing engines were vectorized are the W-phase relaxation
-(:func:`repro.sizing.smp.solve_smp` — a per-vertex Gauss-Seidel loop
-with a CSR row dot product per vertex per sweep) and the TILOS
-sensitivity scan (:func:`repro.sizing.tilos.tilos_size` — per-candidate
-Python closures plus an ``(i, j) -> a_ij`` dict rebuilt on every call).
-This module turns both inner loops into precomputed array kernels; the
-scalar paths remain selectable (``engine="scalar"`` /
-``kernel="scalar"``) and the two implementations are parity-tested
-against each other (``tests/test_kernels.py``).
+The two sizing phases whose natural form is a per-vertex Python loop —
+the W-phase relaxation (a Gauss-Seidel sweep with a CSR row dot
+product per vertex per sweep) and the TILOS sensitivity scan (a
+per-candidate closure over the critical path) — run here as
+precomputed array kernels.  They are the only engines in the package;
+the per-vertex loops survive as test oracles (``reference_smp`` and
+``reference_tilos`` in ``tests/conftest.py``), and the tests hold the
+kernels to them: the W-phase to the same sweep count and clamped set
+with sizes within 1e-10, TILOS to an identical bump sequence.
 
 **Level-blocked SMP.**  One relaxation sweep updates each vertex ``i``
 to ``clip(g^{-1}(headroom_i / load_i(x)))`` where ``load_i`` reads the
 sizes of the vertices in row ``i`` of the coupling matrix ``A``.  The
-scalar sweep visits vertices in ``sweep_order`` (reverse topological
-order); :func:`build_smp_plan` buckets that order into *levels* such
-that the blocked sweep reads exactly the values the scalar sweep reads:
+per-vertex sweep visits vertices in ``sweep_order`` (reverse
+topological order); :func:`build_smp_plan` buckets that order into
+*levels* such that the blocked sweep reads exactly the values the
+per-vertex sweep reads:
 
-* if the scalar sweep reads an **updated** value (``a_ij != 0`` and
-  ``j`` earlier in ``sweep_order``), then ``level(i) > level(j)`` — the
-  dependency is relaxed in an earlier level;
-* if the scalar sweep reads a **stale** value (``a_ij != 0`` and ``j``
-  later in ``sweep_order``), then ``level(i) <= level(j)`` — the
-  dependency has not been touched yet when ``i``'s level runs.
+* if the per-vertex sweep reads an **updated** value (``a_ij != 0``
+  and ``j`` earlier in ``sweep_order``), then ``level(i) > level(j)``
+  — the dependency is relaxed in an earlier level;
+* if it reads a **stale** value (``a_ij != 0`` and ``j`` later in
+  ``sweep_order``), then ``level(i) <= level(j)`` — the dependency has
+  not been touched yet when ``i``'s level runs.
 
 Both constraint families point from earlier to later sweep positions,
 so ``level(i) = position(i)`` always satisfies them: the system is
@@ -31,27 +31,26 @@ feasible and the longest-path assignment computed by
 :func:`build_smp_plan` is its componentwise-minimal solution.  Within a
 level no vertex reads another (an intra-level read would be either an
 updated read, forcing different levels, or a stale read whose reverse
-coupling would), so a whole level relaxes as one sliced CSR
-matvec and the blocked sweep produces the *same iterates* as the scalar
-sweep — same fixed point, same clamped set, same sweep count — for
-gate-mode DAGs and transistor-mode coupled blocks alike.
+coupling would), so a whole level relaxes as one sliced CSR matvec and
+the blocked sweep follows the per-vertex recurrence — same fixed
+point, clamped set and sweep count — for gate-mode DAGs and
+transistor-mode coupled blocks alike.  Only the summation order of
+each row's dot product differs, so the sizes agree to float
+reassociation noise (ulps), not bitwise.
 
 **Array-based TILOS.**  :func:`get_tilos_plan` caches per DAG (the
-structure never changes across calls, but campaigns and warm-started
-sweeps used to rebuild it per ``tilos_size`` call): the transpose
-adjacency in CSR form (who reads a resized vertex), the coupling
-coefficients as a sorted edge-key array for vectorized
-``a[pred, v]`` lookups along a critical path, and the legacy
-``(i, j) -> a_ij`` dict the scalar kernel consumes.  With the plan, a
-whole critical path scores in a handful of numpy expressions
-(:meth:`TilosPlan.score_path`) and the post-bump delay refresh over the
-disturbed vertices is one gathered segment sum
-(:meth:`TilosPlan.refresh_delays`).
+structure never changes across calls, and campaigns and warm-started
+sweeps call ``tilos_size`` many times per DAG): the transpose
+adjacency in CSR form (who reads a resized vertex) and the coupling
+coefficients as a sorted edge-key array for vectorized ``a[pred, v]``
+lookups along a critical path.  With the plan, a whole critical path
+scores in a handful of numpy expressions (:meth:`TilosPlan.score_path`)
+and the post-bump delay refresh over the disturbed vertices is one
+gathered segment sum (:meth:`TilosPlan.refresh_delays`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,6 @@ from repro.errors import SizingError
 from repro.sizing.smp import SmpResult, find_clamped, smp_headroom
 
 __all__ = [
-    "SMP_ENGINES",
     "SmpPlan",
     "TilosPlan",
     "build_smp_plan",
@@ -71,9 +69,6 @@ __all__ = [
     "get_tilos_plan",
     "solve_smp_blocked",
 ]
-
-#: Selectable W-phase relaxation engines (vectorized is the default).
-SMP_ENGINES = ("vectorized", "scalar")
 
 
 def _gathered_loads(
@@ -115,10 +110,10 @@ class SmpPlan:
     """Precomputed level schedule for the blocked W-phase relaxation.
 
     ``blocks`` holds one ``(rows, matrix)`` pair per non-empty level:
-    the vertex ids relaxed by that level (no-load vertices are dropped
-    at build time, mirroring the scalar sweep's skip) and the matching
-    row slice of the coupling matrix, so one sweep is
-    ``len(blocks)`` sliced matvecs instead of ``n`` Python iterations.
+    the vertex ids relaxed by that level (no-load vertices, whose delay
+    no size moves, are dropped at build time) and the matching row
+    slice of the coupling matrix, so one sweep is ``len(blocks)``
+    sliced matvecs instead of ``n`` Python iterations.
     """
 
     n: int
@@ -126,8 +121,6 @@ class SmpPlan:
     level: np.ndarray
     #: ``(rows, A[rows])`` per level, in level order.
     blocks: list[tuple[np.ndarray, sparse.csr_matrix]]
-    #: Wall time spent building the plan (amortized once per DAG).
-    build_seconds: float
 
     @property
     def n_levels(self) -> int:
@@ -147,7 +140,6 @@ def build_smp_plan(
     small numpy constants; :func:`get_smp_plan` caches the result per
     DAG so campaigns pay it once.
     """
-    start = time.perf_counter()
     n = model.n
     order = np.asarray(sweep_order, dtype=np.int64)
     if order.shape != (n,):
@@ -185,12 +177,7 @@ def build_smp_plan(
         bounds = np.flatnonzero(np.diff(level[by_level])) + 1
         for rows in np.split(by_level, bounds):
             blocks.append((rows, a[rows]))
-    return SmpPlan(
-        n=n,
-        level=level,
-        blocks=blocks,
-        build_seconds=time.perf_counter() - start,
-    )
+    return SmpPlan(n=n, level=level, blocks=blocks)
 
 
 def get_smp_plan(dag) -> SmpPlan:
@@ -215,29 +202,21 @@ def solve_smp_blocked(
     plan: SmpPlan,
     max_sweeps: int = 200,
     tol: float = 1e-10,
-    x0: np.ndarray | None = None,
 ) -> SmpResult:
-    """Level-blocked relaxation: the vectorized twin of ``solve_smp``.
+    """Level-blocked Gauss-Seidel relaxation from ``lower`` upward.
 
-    Runs the same Gauss-Seidel recurrence as the scalar solver but
-    relaxes whole levels per step — a sliced CSR matvec for the loads,
-    one array ``g_inverse`` and clip for the update.  Produces the same
-    iterates as the scalar sweep (see the module docstring for the
-    read-order argument), so results agree to float reassociation
-    noise and the sweep count is identical.
-
-    ``x0`` optionally replaces ``lower`` as the starting point; the
-    relaxation only moves sizes up, so the least fixed point is reached
-    unchanged exactly when ``lower <= x0 <= lfp`` — the caller owns
-    that certificate (see :func:`repro.sizing.wphase.w_phase`).
+    Runs the per-vertex Gauss-Seidel recurrence but relaxes whole
+    levels per step — a sliced CSR matvec for the loads, one array
+    ``g_inverse`` and clip for the update (see the module docstring
+    for the read-order argument).  Stops at the first sweep whose
+    largest move is at most ``tol`` times the largest upper bound.
     """
-    start = time.perf_counter()
     budgets = np.asarray(budgets, dtype=float)
     headroom, _no_load = smp_headroom(model, budgets)
     law = model.law
     b = model.b
 
-    x = lower.astype(float).copy() if x0 is None else np.array(x0, dtype=float)
+    x = lower.astype(float).copy()
     scale = float(np.max(np.abs(upper))) or 1.0
     threshold = tol * scale
     for sweep in range(1, max_sweeps + 1):
@@ -264,13 +243,7 @@ def solve_smp_blocked(
                 x[rows[grew]] = value[grew]
         if largest_move <= threshold:
             clamped = find_clamped(model, budgets, x, upper, tol)
-            return SmpResult(
-                x=x,
-                clamped=clamped,
-                sweeps=sweep,
-                engine="vectorized",
-                seconds=time.perf_counter() - start,
-            )
+            return SmpResult(x=x, clamped=clamped, sweeps=sweep)
     raise SizingError(
         f"SMP relaxation did not converge in {max_sweeps} sweeps"
     )
@@ -283,11 +256,9 @@ def solve_smp_blocked(
 class TilosPlan:
     """Cached TILOS coupling structure for one DAG.
 
-    Everything ``tilos_size`` used to rebuild per call: the transpose
-    adjacency (who must have its delay refreshed when a vertex is
-    resized), the coupling coefficients as a sorted edge-key array for
-    vectorized point lookups, and the scalar kernel's
-    ``(i, j) -> a_ij`` dict.
+    The transpose adjacency (who must have its delay refreshed when a
+    vertex is resized) and the coupling coefficients as a sorted
+    edge-key array for vectorized point lookups.
     """
 
     n: int
@@ -299,8 +270,6 @@ class TilosPlan:
     #: :meth:`coupling_at` binary searches.
     edge_keys: np.ndarray
     edge_values: np.ndarray
-    #: The scalar kernel's lookup dict (kept for the fallback path).
-    coupling: dict[tuple[int, int], float]
 
     def dependents(self, vertex: int) -> np.ndarray:
         """Vertices whose delay reads ``vertex``'s size (``a_uv != 0``)."""
@@ -327,13 +296,12 @@ class TilosPlan:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sensitivities of bumping each eligible critical-path vertex.
 
-        Vectorized version of the scalar candidate loop: one gathered
-        load computation for the whole path, one coupling lookup for
-        the consecutive (predecessor, vertex) pairs, one array of
-        sensitivities.  Returns ``(sensitivities, vertices)`` sorted
-        the way the scalar kernel sorts its candidate list —
-        descending sensitivity, ties broken toward the larger vertex
-        id — so both kernels pick identical bump sequences.
+        One gathered load computation for the whole path, one coupling
+        lookup for the consecutive (predecessor, vertex) pairs, one
+        array of sensitivities.  Returns ``(sensitivities, vertices)``
+        sorted by descending sensitivity, ties broken toward the
+        larger vertex id — the order a per-candidate loop that sorts
+        ``(sensitivity, vertex)`` tuples descending would pick.
         """
         model = dag.model
         law = model.law
@@ -367,11 +335,7 @@ class TilosPlan:
         x: np.ndarray,
         delays: np.ndarray,
     ) -> None:
-        """Recompute ``delays[changed]`` in place after a resize.
-
-        The vectorized form of the scalar kernel's per-vertex
-        ``delays[u] = vertex_delay(u)`` refresh loop.
-        """
+        """Recompute ``delays[changed]`` in place after a resize."""
         a = model.a_matrix
         loads = _gathered_loads(
             a.indptr, a.indices, a.data, model.b, changed, x
@@ -389,26 +353,20 @@ def build_tilos_plan(dag) -> TilosPlan:
     coo = model.a_matrix.tocoo()
     keys = coo.row.astype(np.int64) * n + coo.col
     order = np.argsort(keys)
-    coupling = {
-        (int(i), int(j)): float(value)
-        for i, j, value in zip(coo.row, coo.col, coo.data)
-    }
     return TilosPlan(
         n=n,
         t_indptr=transpose.indptr,
         t_indices=transpose.indices,
         edge_keys=keys[order],
         edge_values=coo.data[order].astype(float),
-        coupling=coupling,
     )
 
 
 def get_tilos_plan(dag) -> TilosPlan:
     """The cached :class:`TilosPlan` of ``dag`` (built on first use).
 
-    Replaces the per-call ``O(|E|)`` dict rebuild the scalar
-    implementation paid on every ``tilos_size`` invocation — campaigns
-    and warm-started sweeps now pay the extraction once per DAG.
+    Campaigns and warm-started sweeps pay the ``O(|E|)`` extraction
+    once per DAG instead of once per ``tilos_size`` call.
     """
     plan = dag.kernel_cache.get("tilos_plan")
     if plan is None:

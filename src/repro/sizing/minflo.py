@@ -21,9 +21,11 @@ so the per-iteration timing cost scales with the perturbed cone
 instead of |E|.  Its reports drive both the delay balancing and the
 safety check.
 
-Within each iteration the W-phase runs on the vectorized level-blocked
-kernel by default (``MinfloOptions.kernel``; see
-:mod:`repro.sizing.kernels` — identical iterates to the scalar loop).
+Within each iteration the W-phase runs on the level-blocked kernel of
+:mod:`repro.sizing.kernels`.  The tests hold it to a per-vertex
+reference loop: the same sweep count and clamped set, with sizes
+within 1e-10 (the two sum row dot products in different orders, so
+they agree to ulps, not bitwise).
 
 Per-iteration telemetry (cone size, D-phase solver, SMP sweep counts)
 lands in each
@@ -47,7 +49,6 @@ from repro.errors import InfeasibleTimingError, SizingError
 from repro.flow.duality import check_backend
 from repro.obs.trace import span
 from repro.sizing.dphase import d_phase
-from repro.sizing.kernels import SMP_ENGINES
 from repro.sizing.result import IterationRecord, SizingResult
 from repro.sizing.tilos import TilosOptions, tilos_size
 from repro.sizing.wphase import w_phase
@@ -93,10 +94,6 @@ class MinfloOptions:
     #: :data:`repro.flow.duality.BACKEND_CHOICES`: "networkx" (network
     #: simplex), "scipy" (HiGHS) or "auto" (picks by LP size).
     flow_backend: str = "auto"
-    #: W-phase relaxation engine: "vectorized" (level-blocked kernel,
-    #: :mod:`repro.sizing.kernels`) or "scalar" (per-vertex reference
-    #: loop).  Identical iterates; the kernel is just faster.
-    kernel: str = "vectorized"
     tilos: TilosOptions = TilosOptions()
     #: Warm-start corpus to probe for the TILOS seed: a cache backend
     #: spec (``disk:…`` / ``sqlite:…`` / ``tiered:…``) or directory
@@ -112,11 +109,6 @@ class MinfloOptions:
             )
         if self.max_iterations < 1:
             raise SizingError("max_iterations must be positive")
-        if self.kernel not in SMP_ENGINES:
-            raise SizingError(
-                f"unknown sizing kernel {self.kernel!r}; "
-                f"pick from {SMP_ENGINES}"
-            )
         check_backend(self.flow_backend)
 
 
@@ -162,7 +154,7 @@ def minflotransit(
                         target=target,
                     )
                     probe.set(hit=warm is not None)
-        seed = tilos_size(dag, target, options.tilos, timer=timer, warm=warm)
+        seed = tilos_size(dag, target, options.tilos, warm=warm)
         if not seed.feasible:
             raise InfeasibleTimingError(
                 f"target {target:.6g} unreachable: TILOS stalled at "
@@ -233,8 +225,8 @@ def minflotransit(
         budgets = delays + dres.delta_d
 
         with span("minflo.w_phase", iteration=iteration) as w_span:
-            wres = w_phase(dag, budgets, engine=options.kernel)
-            w_span.set(sweeps=int(wres.sweeps), engine=wres.engine)
+            wres = w_phase(dag, budgets)
+            w_span.set(sweeps=int(wres.sweeps))
         phase_seconds["w_phase"] += w_span.duration_s
 
         with span("minflo.timing", iteration=iteration) as resync_span:
@@ -264,7 +256,7 @@ def minflotransit(
                     else 0.0
                 ),
                 w_sweeps=wres.sweeps,
-                kernel=wres.engine,
+                kernel="vectorized",
             )
         )
 

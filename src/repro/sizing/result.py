@@ -31,8 +31,9 @@ class IterationRecord:
     cone_fraction: float = 1.0
     #: SMP relaxation sweeps the W-phase took this iteration.
     w_sweeps: int = 0
-    #: W-phase relaxation engine ("vectorized" level-blocked kernel or
-    #: the "scalar" reference loop); "" on records predating the field.
+    #: W-phase relaxation kernel: always "vectorized" (the one
+    #: level-blocked engine), kept so payloads and cache entries stay
+    #: byte-identical; "" on records predating the field.
     kernel: str = ""
 
 

@@ -60,8 +60,8 @@ def canonical_json(payload: object) -> str:
 #: Payload keys that carry wall-clock measurements.  Everything else in
 #: a job payload is a deterministic function of (netlist, technology,
 #: job parameters), so two executions of the same job — serial vs
-#: parallel, per-job vs batched, replica A vs replica B — must agree on
-#: the payload after these keys are stripped.
+#: parallel, cold vs warm-started, replica A vs replica B — must agree
+#: on the payload after these keys are stripped.
 VOLATILE_PAYLOAD_KEYS = frozenset({
     "seconds",
     "runtime_seconds",
@@ -72,7 +72,6 @@ VOLATILE_PAYLOAD_KEYS = frozenset({
     "scan_seconds",
     "refresh_seconds",
     "build_seconds",
-    "batched_seconds",
     # Observability fields (repro.obs): trace/span identity and
     # monotonic durations are per-execution telemetry, never content.
     "trace_id",
@@ -86,12 +85,12 @@ VOLATILE_PAYLOAD_KEYS = frozenset({
 def comparable_payload(payload):
     """A payload with every wall-clock field recursively removed.
 
-    The byte-identity assertions of the batched execution path
-    (``tests/test_batch.py``, the ``batch`` benchmark tier) compare
+    The byte-identity assertions (the chaos suite, the service's
+    cross-replica replays, warm-vs-cold parity) compare
     ``canonical_json(comparable_payload(a)) ==
     canonical_json(comparable_payload(b))``: deterministic content must
     match exactly, while timing telemetry — which legitimately differs
-    between a per-job loop and one stacked kernel call — is excluded.
+    between two executions of the same job — is excluded.
     """
     if isinstance(payload, dict):
         return {

@@ -15,16 +15,18 @@ set is closed upward and the componentwise-minimal feasible point — the
 least fixed point of ``max(lower, F(.))`` — simultaneously minimizes
 every ``x_i`` and hence any non-negatively weighted area objective.
 
-The solver runs Gauss-Seidel constraint relaxation in reverse
-topological order: exact after one sweep for gate sizing (dependencies
-point strictly forward), and a convergent block relaxation for
-transistor sizing (devices of one gate couple mutually).  Worst case
-``O(|V| |E|)`` sweeps-times-work, the bound quoted in the paper.
+The solver (:func:`repro.sizing.kernels.solve_smp_blocked`, reached
+through :func:`repro.sizing.wphase.w_phase`) runs Gauss-Seidel
+constraint relaxation in reverse topological order: exact after one
+sweep for gate sizing (dependencies point strictly forward), and a
+convergent block relaxation for transistor sizing (devices of one gate
+couple mutually).  Worst case ``O(|V| |E|)`` sweeps-times-work, the
+bound quoted in the paper.  This module holds the problem-level
+pieces: the result record, the headroom check and the clamp test.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,7 @@ import numpy as np
 from repro.delay.model import VertexDelayModel
 from repro.errors import SizingError
 
-__all__ = ["SmpResult", "find_clamped", "smp_headroom", "solve_smp"]
+__all__ = ["SmpResult", "find_clamped", "smp_headroom"]
 
 
 @dataclass
@@ -44,11 +46,6 @@ class SmpResult:
     #: delay budgets are not met (the caller must reject or repair).
     clamped: list[int]
     sweeps: int
-    #: Which relaxation ran: "scalar" (per-vertex Gauss-Seidel) or
-    #: "vectorized" (level-blocked kernel, :mod:`repro.sizing.kernels`).
-    engine: str = "scalar"
-    #: Wall time the relaxation itself took.
-    seconds: float = 0.0
 
     @property
     def feasible(self) -> bool:
@@ -64,9 +61,7 @@ def smp_headroom(
     ``headroom`` is ``budgets - intrinsic``; ``no_load`` flags vertices
     with neither coupling terms nor constant load (their delay is fixed
     at the intrinsic value, so any budget is acceptable).  Raises
-    :class:`SizingError` when a loaded vertex has no headroom — shared
-    by the scalar and vectorized relaxations so both reject the same
-    instances with the same diagnostic.
+    :class:`SizingError` when a loaded vertex has no headroom.
     """
     budgets = np.asarray(budgets, dtype=float)
     headroom = budgets - model.intrinsic
@@ -79,90 +74,6 @@ def smp_headroom(
             f"intrinsic delay {model.intrinsic[i]:.6g}"
         )
     return headroom, no_load
-
-
-def solve_smp(
-    model: VertexDelayModel,
-    budgets: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    sweep_order: np.ndarray,
-    max_sweeps: int = 200,
-    tol: float = 1e-10,
-    engine: str = "scalar",
-    x0: np.ndarray | None = None,
-) -> SmpResult:
-    """Compute minimal sizes meeting per-vertex delay budgets.
-
-    ``sweep_order`` should list vertices so that dependencies come late
-    (reverse topological order): the relaxation then converges in one
-    sweep for DAG-ordered dependencies and geometrically for
-    intra-block coupling.
-
-    ``engine`` selects the implementation: ``"scalar"`` runs the
-    per-vertex Gauss-Seidel loop below; ``"vectorized"`` delegates to
-    the level-blocked kernel in :mod:`repro.sizing.kernels` (identical
-    iterates, whole levels relaxed per numpy call).  Callers that hold
-    a :class:`~repro.dag.circuit_dag.SizingDag` should prefer
-    :func:`repro.sizing.wphase.w_phase`, which reuses a cached level
-    plan instead of rebuilding it per call.
-
-    ``x0`` optionally replaces ``lower`` as the starting point.  The
-    relaxation only ever moves sizes up, so the least fixed point is
-    reached unchanged exactly when ``lower <= x0 <= lfp`` elementwise —
-    callers own that certificate (see
-    :func:`repro.sizing.wphase.w_phase`'s dominated-budget gate).
-    """
-    if engine == "vectorized":
-        from repro.sizing.kernels import build_smp_plan, solve_smp_blocked
-
-        plan = build_smp_plan(model, sweep_order)
-        return solve_smp_blocked(
-            model, budgets, lower, upper, plan,
-            max_sweeps=max_sweeps, tol=tol, x0=x0,
-        )
-    if engine != "scalar":
-        raise SizingError(
-            f"unknown SMP engine {engine!r}; pick 'scalar' or 'vectorized'"
-        )
-    solve_start = time.perf_counter()
-    budgets = np.asarray(budgets, dtype=float)
-    headroom, no_load = smp_headroom(model, budgets)
-
-    indptr = model.a_matrix.indptr
-    indices = model.a_matrix.indices
-    data = model.a_matrix.data
-    b = model.b
-    law = model.law
-
-    x = lower.astype(float).copy() if x0 is None else np.array(x0, dtype=float)
-    scale = float(np.max(np.abs(upper))) or 1.0
-    for sweep in range(1, max_sweeps + 1):
-        largest_move = 0.0
-        for i in sweep_order:
-            if no_load[i]:
-                continue
-            start, end = indptr[i], indptr[i + 1]
-            load = float(data[start:end] @ x[indices[start:end]]) + b[i]
-            if load <= 0.0:
-                continue
-            required = law.g_inverse(headroom[i] / load)
-            value = min(max(required, lower[i]), upper[i])
-            move = value - x[i]
-            if move > tol * scale:
-                largest_move = max(largest_move, move)
-                x[i] = value
-            elif value > x[i]:
-                x[i] = value
-        if largest_move <= tol * scale:
-            clamped = find_clamped(model, budgets, x, upper, tol)
-            return SmpResult(
-                x=x, clamped=clamped, sweeps=sweep, engine="scalar",
-                seconds=time.perf_counter() - solve_start,
-            )
-    raise SizingError(
-        f"SMP relaxation did not converge in {max_sweeps} sweeps"
-    )
 
 
 def find_clamped(

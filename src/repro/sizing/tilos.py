@@ -16,18 +16,16 @@ for both local effects of the resize:
 Greedy and without convergence guarantees — exactly the drawback the
 paper's Example 1 illustrates and the D/W iteration repairs.
 
-Two timing engines produce identical results (asserted by tests):
-``engine="incremental"`` (default) re-propagates timing only through
-the cone a bump disturbs (see :class:`repro.timing.IncrementalTimer`);
-``engine="full"`` re-times the whole circuit per bump, which is the
-straightforward reading of [1].  Orthogonally, two *sensitivity
-kernels* produce identical bump sequences (parity-tested):
-``kernel="vectorized"`` (default) scores the whole critical path and
-refreshes the disturbed delays with the cached array plan of
-:mod:`repro.sizing.kernels`; ``kernel="scalar"`` is the per-candidate
-reference loop.  ``TilosResult.timing_stats`` records how much of the
-circuit each engine actually touched plus the kernel's per-phase wall
-time.
+Timing is incremental: a bump re-propagates arrival times only through
+the cone it disturbs (see :class:`repro.timing.IncrementalTimer`).
+The sensitivity scan scores the whole critical path at once and the
+post-bump delay refresh is one gathered segment sum, both through the
+cached array plan of :mod:`repro.sizing.kernels`.  The tests hold this
+loop to an identical bump sequence against a per-candidate reference
+that re-times the whole circuit after every bump
+(``reference_tilos`` in ``tests/conftest.py``).
+``TilosResult.timing_stats`` records how much of the circuit the
+timer actually touched plus the scan/refresh wall-time split.
 """
 
 from __future__ import annotations
@@ -42,12 +40,8 @@ from repro.errors import InfeasibleTimingError, SizingError
 from repro.sizing.fingerprint import dag_digest
 from repro.sizing.kernels import get_tilos_plan
 from repro.timing.incremental import IncrementalTimer
-from repro.timing.sta import GraphTimer
 
 __all__ = ["TilosOptions", "TilosResult", "require_feasible", "tilos_size"]
-
-_ENGINES = ("incremental", "full")
-_KERNELS = ("vectorized", "scalar")
 
 
 @dataclass(frozen=True)
@@ -59,26 +53,12 @@ class TilosOptions:
     #: Bump up to this many distinct critical vertices per pass (1 is
     #: the classic algorithm; larger values are an ablation knob).
     batch: int = 1
-    #: Timing engine: "incremental" or "full" (identical results).
-    engine: str = "incremental"
-    #: Sensitivity kernel: "vectorized" (array scoring over the whole
-    #: critical path) or "scalar" (per-candidate reference loop);
-    #: identical bump sequences.
-    kernel: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.bump <= 1.0:
             raise SizingError(f"bump factor must exceed 1, got {self.bump}")
         if self.batch < 1:
             raise SizingError(f"batch must be >= 1, got {self.batch}")
-        if self.engine not in _ENGINES:
-            raise SizingError(
-                f"unknown engine {self.engine!r}; pick from {_ENGINES}"
-            )
-        if self.kernel not in _KERNELS:
-            raise SizingError(
-                f"unknown kernel {self.kernel!r}; pick from {_KERNELS}"
-            )
 
 
 @dataclass
@@ -94,13 +74,12 @@ class TilosResult:
     runtime_seconds: float
     #: Critical path delay after every bump (diagnostic trace).
     trace: list[float] = field(default_factory=list)
-    #: Timing-engine work telemetry: ``repropagated_vertices`` (total
-    #: vertices the engine touched across all bumps),
-    #: ``full_pass_equivalent`` (what a from-scratch engine would have
+    #: Timing work telemetry: ``repropagated_vertices`` (total
+    #: vertices the incremental timer touched across all bumps),
+    #: ``full_pass_equivalent`` (what a from-scratch pass would have
     #: touched: ``2 * n`` per bump) and their ratio ``cone_fraction``;
-    #: plus the sensitivity kernel's identity (``kernel``) and wall
-    #: time split (``scan_seconds`` for candidate scoring,
-    #: ``refresh_seconds`` for post-bump delay updates).
+    #: plus the wall time split (``scan_seconds`` for candidate
+    #: scoring, ``refresh_seconds`` for post-bump delay updates).
     timing_stats: dict = field(default_factory=dict)
     #: Vertices bumped at each iteration, recorded alongside ``trace``
     #: when ``keep_trace`` is on — the trajectory the warm-start corpus
@@ -112,75 +91,11 @@ class TilosResult:
     warm: dict | None = None
 
 
-class _TimingFacade:
-    """Uniform view over the two engines for the greedy loop."""
-
-    def __init__(self, dag: SizingDag, delays: np.ndarray, engine: str,
-                 timer: GraphTimer | None):
-        self.dag = dag
-        self.engine = engine
-        self.updates = 0
-        self.repropagated = 0
-        if engine == "incremental":
-            self._inc = IncrementalTimer(dag, delays)
-            self._timer = None
-        else:
-            self._timer = timer or GraphTimer(dag)
-            self._report = self._timer.analyze(delays)
-
-    def refresh_full(self, delays: np.ndarray) -> None:
-        if self._timer is not None:
-            self._report = self._timer.analyze(delays)
-
-    def update(self, changed, delays: np.ndarray) -> None:
-        self.updates += 1
-        if self._timer is None:
-            stats = self._inc.update_delays(changed, delays)
-            self.repropagated += stats.repropagated
-        else:
-            self._report = self._timer.analyze(delays)
-            self.repropagated += 2 * self.dag.n
-
-    @property
-    def critical_path_delay(self) -> float:
-        if self._timer is None:
-            return self._inc.critical_path_delay
-        return self._report.critical_path_delay
-
-    def critical_path(self) -> list[int]:
-        if self._timer is None:
-            return self._inc.critical_path()
-        return self._report.critical_path()
-
-    def timing_stats(self) -> dict:
-        """Work summary vs a full pass per update (``2n`` vertices)."""
-        full_equiv = 2 * self.dag.n * self.updates
-        return {
-            "engine": self.engine,
-            "updates": self.updates,
-            "repropagated_vertices": self.repropagated,
-            "full_pass_equivalent": full_equiv,
-            "cone_fraction": (
-                self.repropagated / full_equiv if full_equiv else 0.0
-            ),
-        }
-
-
-class _KernelClock:
-    """Wall-time split of the sensitivity kernel's two hot phases."""
-
-    def __init__(self, kernel: str):
-        self.kernel = kernel
-        self.scan_seconds = 0.0
-        self.refresh_seconds = 0.0
-
-
 def tilos_size(
     dag: SizingDag,
     target: float,
     options: TilosOptions | None = None,
     x0: np.ndarray | None = None,
-    timer: GraphTimer | None = None,
     keep_trace: bool = False,
     warm: dict | None = None,
 ) -> TilosResult:
@@ -205,44 +120,21 @@ def tilos_size(
     """
     options = options or TilosOptions()
     model = dag.model
-    law = model.law
-    weight = dag.area_weight
     upper = dag.upper
-    indptr = model.a_matrix.indptr
-    indices = model.a_matrix.indices
-    data = model.a_matrix.data
     plan = get_tilos_plan(dag)
-    vectorized = options.kernel == "vectorized"
 
-    x = dag.min_sizes() if x0 is None else np.array(x0, dtype=float)
-    coupling = plan.coupling
-
-    def vertex_load(i: int) -> float:
-        lo, hi = indptr[i], indptr[i + 1]
-        return float(data[lo:hi] @ x[indices[lo:hi]]) + model.b[i]
-
-    def vertex_delay(i: int) -> float:
-        return model.intrinsic[i] + law.g(x[i]) * vertex_load(i)
-
-    def scan_scalar(path: list[int]) -> list[tuple[float, int]]:
-        candidates: list[tuple[float, int]] = []
-        for position, v in enumerate(path):
-            if x[v] >= upper[v] * (1 - 1e-12):
-                continue
-            new_size = min(x[v] * options.bump, upper[v])
-            dx = new_size - x[v]
-            if dx <= 0:
-                continue
-            delta = (law.g(new_size) - law.g(x[v])) * vertex_load(v)
-            if position > 0:
-                pred = path[position - 1]
-                delta += law.g(x[pred]) * coupling.get((pred, v), 0.0) * dx
-            sensitivity = -delta / (weight[v] * dx)
-            candidates.append((sensitivity, v))
-        candidates.sort(reverse=True)
-        return candidates
+    def bump(chosen: np.ndarray) -> np.ndarray:
+        """Resize ``chosen`` and refresh every delay that reads them;
+        returns the vertices whose delay was recomputed."""
+        x[chosen] = np.minimum(x[chosen] * options.bump, upper[chosen])
+        changed = np.unique(np.concatenate(
+            [chosen] + [plan.dependents(int(v)) for v in chosen]
+        ))
+        plan.refresh_delays(model, changed, x, delays)
+        return changed
 
     start = time.perf_counter()
+    x = dag.min_sizes() if x0 is None else np.array(x0, dtype=float)
     delays = model.delays(x)
     trace: list[float] = []
     bumps: list[list[int]] = []
@@ -271,31 +163,14 @@ def tilos_size(
             j = min(j, options.max_iterations)
             try:
                 for step in warm_bumps[:j]:
-                    # Identical arithmetic to the cold loop's bump +
-                    # refresh below — bitwise equality by construction.
-                    if vectorized:
-                        chosen = np.asarray(step, dtype=np.int64)
-                        x[chosen] = np.minimum(
-                            x[chosen] * options.bump, upper[chosen]
-                        )
-                        changed = np.unique(np.concatenate(
-                            [chosen]
-                            + [plan.dependents(int(v)) for v in chosen]
-                        ))
-                        plan.refresh_delays(model, changed, x, delays)
-                    else:
-                        touched: set[int] = set()
-                        for v in step:
-                            x[v] = min(x[v] * options.bump, upper[v])
-                            touched.add(v)
-                            touched.update(plan.dependents(v).tolist())
-                        for u in sorted(touched):
-                            delays[u] = vertex_delay(u)
+                    # The cold loop's own bump + refresh: bitwise
+                    # equality by construction.
+                    bump(np.asarray(step, dtype=np.int64))
             except Exception:  # noqa: BLE001 — any replay error → cold
                 reason = "replay failed"
         if reason is None:
-            facade = _TimingFacade(dag, delays, options.engine, timer)
-            if facade.critical_path_delay == warm_trace[j]:
+            timer = IncrementalTimer(dag, delays)
+            if timer.critical_path_delay == warm_trace[j]:
                 iterations = j
                 if keep_trace:
                     trace = [float(cp_i) for cp_i in warm_trace[:j]]
@@ -317,71 +192,61 @@ def tilos_size(
                 trace = []
                 bumps = []
                 iterations = 0
-            facade = _TimingFacade(dag, delays, options.engine, timer)
+            timer = IncrementalTimer(dag, delays)
     else:
-        facade = _TimingFacade(dag, delays, options.engine, timer)
-    clock = _KernelClock(options.kernel)
+        timer = IncrementalTimer(dag, delays)
+    seconds = {"scan_seconds": 0.0, "refresh_seconds": 0.0}
+
+    def finish(cp: float, feasible: bool) -> TilosResult:
+        # Work summary vs a full forward+backward pass per update (2n).
+        full_equiv = 2 * dag.n * timer.total_updates
+        return TilosResult(
+            x=x,
+            area=dag.area(x),
+            critical_path_delay=cp,
+            target=target,
+            iterations=iterations,
+            feasible=feasible,
+            runtime_seconds=time.perf_counter() - start,
+            trace=trace,
+            timing_stats={
+                "updates": timer.total_updates,
+                "repropagated_vertices": timer.total_repropagated,
+                "full_pass_equivalent": full_equiv,
+                "cone_fraction": (
+                    timer.total_repropagated / full_equiv
+                    if full_equiv else 0.0
+                ),
+                **seconds,
+            },
+            bumps=bumps if keep_trace else None,
+            warm=warm_info,
+        )
+
     while True:
-        cp = facade.critical_path_delay
+        cp = timer.critical_path_delay
         if keep_trace:
             trace.append(cp)
         if cp <= target:
-            return _result(
-                dag, x, cp, target, iterations, True, start, trace,
-                bumps if keep_trace else None, facade, clock, warm_info,
-            )
+            return finish(cp, True)
         if iterations >= options.max_iterations:
-            return _result(
-                dag, x, cp, target, iterations, False, start, trace,
-                bumps if keep_trace else None, facade, clock, warm_info,
-            )
+            return finish(cp, False)
 
-        path = facade.critical_path()
+        path = timer.critical_path()
         tick = time.perf_counter()
-        if vectorized:
-            sensitivities, verts = plan.score_path(
-                dag, x, path, options.bump
-            )
-            no_candidates = verts.size == 0
-            best_sensitivity = (
-                float(sensitivities[0]) if verts.size else 0.0
-            )
-        else:
-            candidates = scan_scalar(path)
-            no_candidates = not candidates
-            best_sensitivity = candidates[0][0] if candidates else 0.0
-        clock.scan_seconds += time.perf_counter() - tick
-        if no_candidates or best_sensitivity <= 0:
+        sensitivities, verts = plan.score_path(dag, x, path, options.bump)
+        seconds["scan_seconds"] += time.perf_counter() - tick
+        if verts.size == 0 or sensitivities[0] <= 0:
             # No critical-path resize helps: greedy is stuck.
-            return _result(
-                dag, x, cp, target, iterations, False, start, trace,
-                bumps if keep_trace else None, facade, clock, warm_info,
-            )
+            return finish(cp, False)
 
         tick = time.perf_counter()
-        if vectorized:
-            chosen = verts[: options.batch]
-            x[chosen] = np.minimum(x[chosen] * options.bump, upper[chosen])
-            changed = np.unique(np.concatenate(
-                [chosen] + [plan.dependents(int(v)) for v in chosen]
-            ))
-            plan.refresh_delays(model, changed, x, delays)
-            if keep_trace:
-                bumps.append([int(v) for v in chosen])
-        else:
-            touched = set()
-            for _sens, v in candidates[: options.batch]:
-                x[v] = min(x[v] * options.bump, upper[v])
-                touched.add(v)
-                touched.update(plan.dependents(v).tolist())
-            changed = sorted(touched)
-            for u in changed:
-                delays[u] = vertex_delay(u)
-            if keep_trace:
-                bumps.append([int(v) for _sens, v in
-                              candidates[: options.batch]])
-        clock.refresh_seconds += time.perf_counter() - tick
-        facade.update(changed, delays)
+        chosen = verts[: options.batch]
+        changed = bump(chosen)
+        if keep_trace:
+            bumps.append([int(v) for v in chosen])
+        seconds["refresh_seconds"] += time.perf_counter() - tick
+        timer.update_delays(changed, delays)
         iterations += 1
 
 
@@ -439,35 +304,3 @@ def _warm_gate(
         return "instance mismatch"
     return None
 
-
-def _result(
-    dag: SizingDag,
-    x: np.ndarray,
-    cp: float,
-    target: float,
-    iterations: int,
-    feasible: bool,
-    start: float,
-    trace: list[float],
-    bumps: list[list[int]] | None,
-    facade: _TimingFacade,
-    clock: _KernelClock,
-    warm_info: dict | None,
-) -> TilosResult:
-    stats = facade.timing_stats()
-    stats["kernel"] = clock.kernel
-    stats["scan_seconds"] = clock.scan_seconds
-    stats["refresh_seconds"] = clock.refresh_seconds
-    return TilosResult(
-        x=x,
-        area=dag.area(x),
-        critical_path_delay=cp,
-        target=target,
-        iterations=iterations,
-        feasible=feasible,
-        runtime_seconds=time.perf_counter() - start,
-        trace=trace,
-        timing_stats=stats,
-        bumps=bumps,
-        warm=warm_info,
-    )

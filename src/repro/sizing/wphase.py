@@ -1,20 +1,19 @@
 """W-phase: minimum-area sizes for fixed delay budgets (paper eq. (11)).
 
-Thin orchestration over the SMP solvers: derives the sweep order from
-the DAG (reverse topological order, which makes the relaxation a single
-backward-substitution pass for gate sizing, per the paper's section
-2.3), dispatches to the selected relaxation engine and verifies the
-resulting delays against the budgets.
+Thin orchestration over the SMP solver: relaxes the DAG's budgets with
+the level-blocked kernel of :mod:`repro.sizing.kernels` (whole
+dependency levels per sliced CSR matvec, in reverse topological order,
+which makes the relaxation a single backward-substitution pass for
+gate sizing, per the paper's section 2.3) and verifies the resulting
+delays against the budgets.  The level plan is cached on the DAG, so
+repeated W-phases (one per MINFLOTRANSIT iteration) pay the analysis
+once.
 
-Two engines produce identical iterates (parity-tested in
-``tests/test_kernels.py``):
-
-* ``engine="vectorized"`` (default) — the level-blocked kernel of
-  :mod:`repro.sizing.kernels`, relaxing whole dependency levels with
-  sliced CSR matvecs; the level plan is cached on the DAG so repeated
-  W-phases (one per MINFLOTRANSIT iteration) pay the analysis once.
-* ``engine="scalar"`` — the per-vertex Gauss-Seidel reference loop of
-  :mod:`repro.sizing.smp`.
+The tests hold this solve to a per-vertex Gauss-Seidel reference loop
+(``reference_smp`` in ``tests/conftest.py``): the same sweep count and
+clamped set, and sizes within 1e-10 relative to the largest size.  The
+two agree to the last few ulps, not bitwise — the row dot products sum
+in a different order.
 """
 
 from __future__ import annotations
@@ -24,17 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dag.circuit_dag import SizingDag
-from repro.errors import SizingError
-from repro.sizing.fingerprint import dag_digest
-from repro.sizing.kernels import SMP_ENGINES, get_smp_plan, solve_smp_blocked
-from repro.sizing.smp import SmpResult, smp_headroom, solve_smp
+from repro.sizing.kernels import get_smp_plan, solve_smp_blocked
 
 __all__ = ["WPhaseResult", "w_phase"]
-
-#: The SMP solvers' default convergence threshold factor (see
-#: ``solve_smp``/``solve_smp_blocked``): needed here to derive the
-#: cold-equivalent sweep count of a seeded solve.
-_SMP_TOL = 1e-10
 
 
 @dataclass
@@ -46,14 +37,6 @@ class WPhaseResult:
     budgets: np.ndarray
     clamped: list[int]
     sweeps: int
-    #: Relaxation engine that produced the solution.
-    engine: str = "scalar"
-    #: Wall time of the relaxation itself (excludes the delay check).
-    seconds: float = 0.0
-    #: Warm-start status when a donor seed was offered ("seeded", or
-    #: the fallback reason); None on cold calls.  Telemetry only —
-    #: never part of job payloads.
-    warm: str | None = None
 
     @property
     def feasible(self) -> bool:
@@ -66,172 +49,29 @@ class WPhaseResult:
         return float(np.max(self.delays - self.budgets))
 
 
-def _solve(
-    dag: SizingDag,
-    budgets: np.ndarray,
-    max_sweeps: int,
-    engine: str,
-    x0: np.ndarray | None,
-) -> SmpResult:
-    if engine == "vectorized":
-        return solve_smp_blocked(
-            model=dag.model,
-            budgets=budgets,
-            lower=dag.lower,
-            upper=dag.upper,
-            plan=get_smp_plan(dag),
-            max_sweeps=max_sweeps,
-            x0=x0,
-        )
-    return solve_smp(
-        model=dag.model,
-        budgets=budgets,
-        lower=dag.lower,
-        upper=dag.upper,
-        sweep_order=dag.topo_order[::-1],
-        max_sweeps=max_sweeps,
-        x0=x0,
-    )
-
-
-def _warm_gate(dag: SizingDag, budgets: np.ndarray, warm: object) -> str | None:
-    """Why a donor seed may NOT be used (None when it may).
-
-    The exactness certificate: in gate mode the relaxation is backward
-    substitution and only moves sizes up, so any seed with
-    ``lower <= x0 <= lfp`` converges to the identical least fixed
-    point.  A donor that solved the *same* instance under budgets that
-    dominate (are everywhere >=) the new ones has ``lfp_donor <= lfp``
-    by monotonicity, which is exactly that certificate.
-    """
-    if not isinstance(warm, dict):
-        return "not a seed record"
-    if dag.mode != "gate":
-        return "transistor blocks couple mutually"
-    try:
-        x = np.asarray(warm.get("x"), dtype=float)
-        donor = np.asarray(warm.get("budgets"), dtype=float)
-    except (TypeError, ValueError):
-        return "malformed seed arrays"
-    if x.shape != (dag.n,) or donor.shape != (dag.n,):
-        return "seed shape mismatch"
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(donor))):
-        return "non-finite seed"
-    if np.any(x < dag.lower) or np.any(x > dag.upper):
-        return "seed outside size bounds"
-    if not np.all(donor >= np.asarray(budgets, dtype=float)):
-        return "donor budgets do not dominate"
-    if warm.get("dag_sha") != dag_digest(dag):
-        return "instance mismatch"
-    return None
-
-
-def _seed_exact(dag: SizingDag, budgets: np.ndarray, x: np.ndarray) -> bool:
-    """Bitwise fixed-point check of a seeded solution (the monitor).
-
-    In gate mode the least fixed point satisfies, exactly in floats:
-    every live relaxed vertex equals the clipped requirement derived
-    from its (final) downstream sizes, and every never-relaxed vertex
-    sits at its lower bound.  A seed that started above the fixed point
-    survives relaxation unchanged (updates only move up) and fails
-    precisely this test, which forces the cold fallback.
-    """
-    model = dag.model
-    headroom, _no_load = smp_headroom(model, budgets)
-    law = model.law
-    relaxed = np.zeros(dag.n, dtype=bool)
-    for rows, matrix in get_smp_plan(dag).blocks:
-        loads = matrix @ x + model.b[rows]
-        live = loads > 0.0
-        rows_live = rows[live]
-        relaxed[rows_live] = True
-        required = law.g_inverse_array(headroom[rows_live] / loads[live])
-        value = np.minimum(
-            np.maximum(required, dag.lower[rows_live]), dag.upper[rows_live]
-        )
-        if not np.array_equal(x[rows_live], value):
-            return False
-    return bool(np.array_equal(x[~relaxed], dag.lower[~relaxed]))
-
-
 def w_phase(
     dag: SizingDag,
     budgets: np.ndarray,
     max_sweeps: int = 200,
-    engine: str = "vectorized",
-    warm: dict | None = None,
 ) -> WPhaseResult:
     """Solve the W-phase SMP for ``dag`` under per-vertex ``budgets``.
 
-    ``engine`` picks the relaxation implementation (``"vectorized"``
-    level-blocked kernel by default, ``"scalar"`` reference loop); both
-    produce the same least fixed point, clamped set and sweep count.
-
-    ``warm`` optionally carries a corpus seed — ``{"x", "budgets",
-    "dag_sha"}`` from :mod:`repro.runner.corpus` — used as the
-    relaxation's starting point when the dominated-budget gate admits
-    it (same instance, donor budgets everywhere >= the new ones, gate
-    mode).  A bitwise exactness monitor verifies the converged solution
-    against the fixed-point equations and re-solves cold on any
-    mismatch, so the returned sizes are identical to a cold solve in
-    all cases; only the sweep count may shrink.
+    Returns the least fixed point (the componentwise-minimal sizes
+    meeting every budget), the vertices clamped at their upper bound
+    and the number of relaxation sweeps.
     """
-    if engine not in SMP_ENGINES:
-        raise SizingError(
-            f"unknown W-phase engine {engine!r}; pick from {SMP_ENGINES}"
-        )
-    x0: np.ndarray | None = None
-    warm_status: str | None = None
-    if warm is not None:
-        # The exactness monitor recomputes the fixed point with the
-        # level-blocked matvecs, which certify the vectorized engine's
-        # iterate bitwise; the scalar loop's summation order differs in
-        # the last ulp, so a seeded scalar solve would always fail the
-        # monitor and re-solve cold — skip the wasted work up front.
-        if engine != "vectorized":
-            warm_status = "no exactness certificate for scalar engine"
-            warm = None
-    if warm is not None:
-        reason = _warm_gate(dag, budgets, warm)
-        if reason is None:
-            x0 = np.array(warm["x"], dtype=float)
-            warm_status = "seeded"
-        else:
-            warm_status = reason
-    result: SmpResult | None = None
-    sweeps: int | None = None
-    if x0 is not None:
-        try:
-            seeded = _solve(dag, budgets, max_sweeps, engine, x0)
-            if _seed_exact(dag, budgets, seeded.x):
-                result = seeded
-                # A seeded run can converge in fewer sweeps than a
-                # cold one, but the sweep count is part of the cached
-                # payload and must not depend on corpus state.  In
-                # gate mode the cold figure is derivable exactly from
-                # the (verified) fixed point: one sweep when no size
-                # moved past the solvers' convergence threshold, two
-                # otherwise — so report that, not the seeded count.
-                scale = float(np.max(np.abs(dag.upper))) or 1.0
-                moved = (
-                    float(np.max(result.x - dag.lower)) if dag.n else 0.0
-                )
-                sweeps = 2 if moved > _SMP_TOL * scale else 1
-            else:
-                warm_status = "seeded iterate left the cold basin"
-        except SizingError:
-            warm_status = "seeded relaxation failed"
-    if result is None:
-        result = _solve(dag, budgets, max_sweeps, engine, None)
-        sweeps = result.sweeps
-    delays = dag.model.delays(result.x)
+    result = solve_smp_blocked(
+        model=dag.model,
+        budgets=budgets,
+        lower=dag.lower,
+        upper=dag.upper,
+        plan=get_smp_plan(dag),
+        max_sweeps=max_sweeps,
+    )
     return WPhaseResult(
         x=result.x,
-        delays=delays,
+        delays=dag.model.delays(result.x),
         budgets=np.asarray(budgets, dtype=float),
         clamped=result.clamped,
-        sweeps=sweeps,
-        engine=result.engine,
-        seconds=result.seconds,
-        warm=warm_status,
+        sweeps=result.sweeps,
     )

@@ -176,6 +176,26 @@ class TestCli:
         assert f"unknown flow backend {name!r}" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", [
+        ["campaign", "run", "--circuits", "c17", "--no-cache",
+         "--kind", "wphase"],
+        ["campaign", "run", "--circuits", "c17", "--no-cache", "--batch"],
+        ["campaign", "resume", "runs/none", "--batch"],
+        ["serve", "--batch-drain", "2"],
+        ["size", "c17", "--spec", "0.6", "--kernel", "scalar"],
+    ])
+    def test_removed_options_are_usage_errors(self, capsys, command):
+        """The batched ``wphase`` kind and the engine selectors are gone:
+        asking for them is a parse-time usage error, before any solve."""
+        from repro.__main__ import main
+
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert ("unrecognized arguments" in captured.err
+                or "invalid choice: 'wphase'" in captured.err)
+
     def test_suite_json(self, capsys):
         import json
 

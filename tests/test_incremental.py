@@ -162,28 +162,32 @@ class TestRequiredTimes:
 
 
 class TestTilosEngines:
+    """Incremental TILOS timing vs the reference loop that re-times the
+    whole circuit with :class:`GraphTimer` after every bump."""
+
     @pytest.mark.parametrize("circuit_fixture", ["c17_gate_dag", "adder8_dag"])
-    def test_engines_identical(self, request, circuit_fixture):
+    def test_engines_identical(self, request, tilos_reference, circuit_fixture):
         dag = request.getfixturevalue(circuit_fixture)
         d_min = analyze(dag, dag.min_sizes()).critical_path_delay
         target = 0.55 * d_min
-        full = tilos_size(dag, target, TilosOptions(engine="full"))
-        fast = tilos_size(dag, target, TilosOptions(engine="incremental"))
+        full = tilos_reference(dag, target)
+        fast = tilos_size(dag, target)
         assert full.feasible == fast.feasible
         assert fast.iterations == full.iterations
         assert fast.x == pytest.approx(full.x)
-        assert fast.area == pytest.approx(full.area)
+        assert fast.area == pytest.approx(dag.area(full.x))
 
-    def test_transistor_mode_engines_identical(self, c17_transistor_dag):
+    def test_transistor_mode_engines_identical(
+        self, c17_transistor_dag, tilos_reference
+    ):
         dag = c17_transistor_dag
         d_min = analyze(dag, dag.min_sizes()).critical_path_delay
         target = 0.6 * d_min
-        full = tilos_size(dag, target, TilosOptions(engine="full"))
-        fast = tilos_size(dag, target, TilosOptions(engine="incremental"))
+        full = tilos_reference(dag, target)
+        fast = tilos_size(dag, target)
         assert fast.x == pytest.approx(full.x)
 
     def test_engine_validation(self):
-        from repro.errors import SizingError
-
-        with pytest.raises(SizingError, match="engine"):
+        """Incremental timing is the only TILOS timer: no selector."""
+        with pytest.raises(TypeError, match="engine"):
             TilosOptions(engine="warp")

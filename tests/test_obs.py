@@ -119,7 +119,7 @@ class TestPoolBoundary:
     def test_pool_entry_ships_spans_back_with_parentage(self):
         methods = multiprocessing.get_all_start_methods()
         method = "forkserver" if "forkserver" in methods else "spawn"
-        job = Job(circuit="rca:4", delay_spec=1.5, kind="wphase")
+        job = Job(circuit="rca:4", delay_spec=1.5)
         carrier = {"trace_id": "cafe0123cafe0123", "parent_id": "root0001"}
         with ProcessPoolExecutor(
             max_workers=1,
@@ -144,7 +144,7 @@ class TestPoolBoundary:
                 assert s["parent"] in ids
 
     def test_pool_entry_without_carrier_ships_nothing(self):
-        job = Job(circuit="rca:4", delay_spec=1.5, kind="wphase")
+        job = Job(circuit="rca:4", delay_spec=1.5)
         status, _payload, _error, _wall, obs = pool_entry(job, None, None)
         assert status == "ok"
         assert obs is None

@@ -4,10 +4,10 @@ Random circuits and sizings exercise:
 
 * STA consistency (slacks, edge slacks, critical path realization),
 * delay-balancing legality on arbitrary DAGs and delay vectors,
-* W-phase least-fixed-point minimality and monotonicity,
+* W-phase least-fixed-point minimality and monotonicity, and the
+  level-blocked kernel against the per-vertex reference relaxation,
 * flow/LP duality across solver backends,
 * scale invariance of sizing decisions,
-* batched-kernel fixed points independent of batch grouping and order,
 * cache-key invariance under job reordering,
 * serialize round-trip identity on schema-v2 payloads,
 * warm-start fingerprints invariant under relabeling, and retrieval
@@ -36,8 +36,6 @@ from repro.sizing.fingerprint import (
     dag_features,
     fingerprint_distance,
 )
-from repro.sizing.batch import build_batched_smp_plan, solve_smp_batched
-from repro.sizing.kernels import get_smp_plan, solve_smp_blocked
 from repro.sizing.result import IterationRecord, SizingResult
 from repro.sizing.serialize import (
     VOLATILE_PAYLOAD_KEYS,
@@ -152,6 +150,23 @@ class TestWPhaseProperties:
         loose = w_phase(dag, budgets * 1.25)
         assert np.all(loose.x <= tight.x + 1e-9)
 
+    @given(small_dags(), st.integers(min_value=0, max_value=9999))
+    @settings(**_SETTINGS)
+    def test_matches_reference_relaxation(self, smp_reference, dag, seed):
+        """The level-blocked W-phase reaches the per-vertex reference's
+        fixed point: same sweeps and clamped set, sizes within 1e-10."""
+        rng = np.random.default_rng(seed)
+        x_ref = rng.uniform(1.0, 6.0, size=dag.n)
+        budgets = dag.delays(x_ref) * rng.uniform(0.9, 1.2)
+        result = w_phase(dag, budgets)
+        reference = smp_reference(
+            dag.model, budgets, dag.lower, dag.upper, dag.topo_order[::-1]
+        )
+        scale = float(np.max(np.abs(reference.x)))
+        assert np.allclose(result.x, reference.x, rtol=0, atol=1e-10 * scale)
+        assert result.sweeps == reference.sweeps
+        assert result.clamped == reference.clamped
+
 
 class TestFlowProperties:
     @given(st.integers(min_value=0, max_value=10_000))
@@ -205,64 +220,6 @@ class TestScaleInvariance:
 
 
 @st.composite
-def batched_cases(draw):
-    """2-4 independent W-phase SMP instances plus a random regrouping:
-    a permutation of the instances and a cut point splitting the
-    permuted order into two batches."""
-    count = draw(st.integers(min_value=2, max_value=4))
-    instances = []
-    for _ in range(count):
-        dag = draw(small_dags())
-        spec = draw(st.floats(min_value=0.5, max_value=1.5))
-        load = dag.delays(dag.min_sizes()) - dag.model.intrinsic
-        budgets = dag.model.intrinsic + spec * load
-        instances.append(
-            (dag.model, budgets, dag.lower, dag.upper, get_smp_plan(dag))
-        )
-    order = list(draw(st.permutations(range(count))))
-    cut = draw(st.integers(min_value=1, max_value=count))
-    return instances, order, cut
-
-
-class TestBatchGroupingInvariance:
-    """The batched SMP kernel is exact: which batch an instance lands
-    in — and where inside the batch — must not change its fixed point,
-    its sweep count, or its clamped set."""
-
-    @given(batched_cases())
-    @settings(deadline=None, max_examples=10,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_fixed_point_independent_of_grouping(self, case):
-        instances, order, cut = case
-        solo = [
-            solve_smp_blocked(model, budgets, lower, upper, plan)
-            for model, budgets, lower, upper, plan in instances
-        ]
-        results = [None] * len(instances)
-        for group in (order[:cut], order[cut:]):
-            if not group:
-                continue
-            models = [instances[i][0] for i in group]
-            plan = build_batched_smp_plan(
-                models, [instances[i][4] for i in group]
-            )
-            batched = solve_smp_batched(
-                models,
-                [instances[i][1] for i in group],
-                [instances[i][2] for i in group],
-                [instances[i][3] for i in group],
-                plan,
-            )
-            for i, result in zip(group, batched):
-                results[i] = result
-        for got, want in zip(results, solo):
-            assert got is not None
-            assert np.array_equal(got.x, want.x)  # bitwise, not approx
-            assert got.sweeps == want.sweeps
-            assert got.clamped == want.clamped
-
-
-@st.composite
 def job_lists(draw):
     """2-6 campaign jobs over cheap circuits (duplicates allowed)."""
     count = draw(st.integers(min_value=2, max_value=6))
@@ -270,7 +227,7 @@ def job_lists(draw):
         Job(
             circuit=draw(st.sampled_from(["c17", "rca:2", "rca:4", "rca:6"])),
             delay_spec=draw(st.sampled_from([0.6, 0.8, 1.0, 1.2])),
-            kind=draw(st.sampled_from(["sizing", "wphase"])),
+            kind=draw(st.sampled_from(["sizing", "phases"])),
             mode=draw(st.sampled_from(["gate", "transistor"])),
         )
         for _ in range(count)
@@ -282,9 +239,9 @@ class TestCacheKeyProperties:
     @settings(**_SETTINGS)
     def test_keys_invariant_under_job_reordering(self, jobs, seed):
         """A job's cache key is a pure function of the job — never of
-        its position in the campaign or of its neighbours (the batched
-        executor regroups jobs, so this is what keeps batched and
-        per-job runs hitting the same cache entries)."""
+        its position in the campaign or of its neighbours (a resumed,
+        filtered or reordered campaign must hit the same cache
+        entries)."""
         order = np.random.default_rng(seed).permutation(len(jobs))
         sentinel = object()  # campaign_keys only tests `cache is None`
         forward = campaign_keys(jobs, sentinel)
@@ -337,7 +294,7 @@ def corpus_queries(draw):
     dag = build_sizing_dag(draw(small_circuits()), _TECH, mode="gate")
     options = {
         "bump": draw(st.sampled_from([1.05, 1.1, 1.2])),
-        "engine": draw(st.sampled_from(["incremental", "scalar"])),
+        "batch": draw(st.sampled_from([1, 4])),
     }
     delay_spec = draw(st.sampled_from([0.6, 0.8, 0.9, None]))
     target = draw(st.sampled_from([1.0, 2.5, None]))
@@ -390,7 +347,7 @@ class TestFingerprintProperties:
         assert fingerprint_distance(
             query, dict(clone, options=other_options)
         ) > 0.0
-        assert fingerprint_distance(query, dict(clone, kind="wphase")) > 0.0
+        assert fingerprint_distance(query, dict(clone, kind="phases")) > 0.0
         assert fingerprint_distance(query, dict(clone, tech="other")) > 0.0
         spec = query["delay_spec"]
         bumped_spec = 0.7 if spec is None else spec + 0.05
@@ -411,7 +368,7 @@ _FRACTION = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 @st.composite
 def sizing_results(draw):
     """Random schema-v2 SizingResults, including the per-phase wall
-    map (with the batched-execution key) and kernel telemetry."""
+    map and kernel telemetry."""
     n = draw(st.integers(min_value=1, max_value=12))
     x = np.array(
         draw(st.lists(
@@ -431,7 +388,7 @@ def sizing_results(draw):
             repropagated_vertices=draw(st.integers(0, 500)),
             cone_fraction=draw(_FRACTION),
             w_sweeps=draw(st.integers(0, 50)),
-            kernel=draw(st.sampled_from(["scalar", "vectorized"])),
+            kernel=draw(st.sampled_from(["", "vectorized"])),
         )
         for i in range(draw(st.integers(0, 3)))
     ]
@@ -449,7 +406,7 @@ def sizing_results(draw):
         phase_seconds={
             "timing": draw(_FINITE),
             "w_phase": draw(_FINITE),
-            "batched": draw(_FINITE),
+            "d_phase": draw(_FINITE),
         },
     )
 
@@ -505,14 +462,14 @@ class TestSerializeProperties:
     @settings(**_SETTINGS)
     def test_comparable_payload_strips_volatile_keys(self, payload):
         """comparable_payload removes every wall-clock key at every
-        depth and is idempotent — the byte-identity checks of the
-        batched path compare exactly this normal form."""
+        depth and is idempotent — the byte-identity checks (chaos,
+        cross-replica, warm-vs-cold) compare exactly this normal form."""
         stripped = comparable_payload(payload)
         assert not _volatile_keys_in(stripped)
         assert comparable_payload(stripped) == stripped
-        # The batched-execution telemetry keys are volatile by
-        # definition: a stacked solve legitimately times differently.
-        assert {"batched_seconds", "build_seconds"} <= VOLATILE_PAYLOAD_KEYS
+        # Solver wall-time telemetry is volatile by definition.
+        assert {"seconds", "scan_seconds", "refresh_seconds",
+                "build_seconds"} <= VOLATILE_PAYLOAD_KEYS
         # Observability fields are per-execution telemetry: two runs of
         # the same job carry different trace/span identities and
         # monotonic durations, yet must stay byte-comparable.

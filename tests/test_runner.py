@@ -76,11 +76,21 @@ class TestSpec:
             name="rt",
             circuits=("c17",),
             delay_specs=(0.7,),
-            options=normalize_options({"kernel": "scalar"}),
+            options=normalize_options({"balancing": "alap"}),
         )
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
         job = spec.jobs()[0]
         assert Job.from_dict(job.to_dict()) == job
+
+    def test_wphase_kind_rejected(self):
+        """The batched ``wphase`` kind is gone from jobs and specs."""
+        from repro.runner.spec import JOB_KINDS
+
+        assert JOB_KINDS == ("sizing", "phases")
+        with pytest.raises(RunnerError, match="unknown job kind 'wphase'"):
+            Job(circuit="c17", delay_spec=0.6, kind="wphase")
+        with pytest.raises(RunnerError, match="unknown job kind 'wphase'"):
+            CampaignSpec(name="w", circuits=("c17",), kind="wphase")
 
     def test_normalize_options_rejects_unknown(self):
         with pytest.raises(RunnerError, match="unknown MinfloOptions"):
@@ -90,10 +100,10 @@ class TestSpec:
         job = Job(
             circuit="c17",
             delay_spec=0.5,
-            options=normalize_options({"kernel": "scalar", "alpha": 0.1}),
+            options=normalize_options({"balancing": "alap", "alpha": 0.1}),
         )
         options = job.minflo_options()
-        assert options.kernel == "scalar"
+        assert options.balancing == "alap"
         assert options.alpha == pytest.approx(0.1)
 
     def test_tier_preset_matches_env(self, monkeypatch):
@@ -210,6 +220,33 @@ class TestExecutor:
         assert result.outcomes[0].status == "timeout"
         assert "budget" in result.outcomes[0].error
 
+    # The swallowed alarm is the scenario itself, not a test leak.
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnraisableExceptionWarning"
+    )
+    def test_timeout_inside_finalizer_is_not_lost(self):
+        """An alarm that lands inside ``__del__`` has its exception
+        swallowed ("Exception ignored"), so ``fn`` runs on to a normal
+        return; the job still overran its budget and must time out."""
+        import time
+
+        from repro.errors import JobTimeoutError
+        from repro.runner.executor import _with_timeout
+
+        class SlowFinalizer:
+            def __del__(self):
+                end = time.perf_counter() + 0.2
+                while time.perf_counter() < end:
+                    pass
+
+        def fn():
+            SlowFinalizer()  # finalized at once: the alarm fires inside
+            return "finished"
+
+        with pytest.raises(JobTimeoutError, match="budget"):
+            _with_timeout(fn, 0.05)
+        assert _with_timeout(fn, 5.0) == "finished"
+
     def test_infeasible_target_is_a_completed_outcome(self, tmp_path):
         spec = small_spec(name="floor", specs=(0.01,))
         result = runner.run(spec, jobs=1, cache=tmp_path / "cache")
@@ -218,6 +255,36 @@ class TestExecutor:
         again = runner.run(spec, jobs=1, cache=tmp_path / "cache")
         assert again.outcomes[0].cached
         assert again.outcomes[0].status == "infeasible"
+
+    def test_no_batched_execution_surface(self, tmp_path):
+        """Campaigns run one job per worker call: no ``batch`` argument,
+        and no batch fields on outcomes, run-log records or digests."""
+        import dataclasses
+
+        from repro.runner import JobOutcome, campaign_to_dict
+
+        spec = small_spec(specs=(0.7,))
+        for call in (
+            lambda: run_campaign(spec, batch=True),
+            lambda: runner.run(spec, cache=None, batch=True),
+            lambda: runner.resume(tmp_path / "run", cache=None, batch=True),
+        ):
+            with pytest.raises(TypeError, match="batch"):
+                call()
+        fields = {f.name for f in dataclasses.fields(JobOutcome)}
+        assert not {"batch_size", "batched_seconds"} & fields
+        result = runner.run(spec, cache=None, run_dir=tmp_path / "run")
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "run" / "campaign.jsonl").open()
+        ]
+        jobs = [r for r in records if r["type"] == "job"]
+        assert len(jobs) == 1 and jobs[0]["status"] == "ok"
+        assert not any("batch" in key for r in jobs for key in r)
+        assert not any(
+            "batch" in key for j in campaign_to_dict(result)["jobs"]
+            for key in j
+        )
 
     def test_per_job_flow_stats_are_isolated(self):
         spec = small_spec()

@@ -319,6 +319,55 @@ class TestJobQueue:
         assert elapsed < 10.0
 
 
+class TestRemovedKind:
+    def test_parent_wphase_row_is_quarantined(self, tmp_path, capsys):
+        """A ``wphase`` row left in a queue written before that kind was
+        removed parks in the dead-letter state (visible to ``queue
+        inspect``), and the same drain thread goes on to finish the
+        sizing job queued behind it."""
+        db = tmp_path / "run" / "queue.db"
+        old = WorkQueue(db)
+        stale = old.create(Job(circuit="rca:4", delay_spec=0.9), None)
+        with closing(sqlite3.connect(db)) as conn, conn:
+            conn.execute(
+                "UPDATE jobs SET job = ?, label = ? WHERE id = ?",
+                (json.dumps({
+                    "circuit": "rca:4", "delay_spec": 0.9, "kind": "wphase",
+                    "mode": "gate", "flow_backend": "auto", "options": [],
+                }), "rca:4@0.9 [wphase]", stale.id),
+            )
+        sizing = old.create(Job(circuit="c17", delay_spec=0.6), None)
+        old.close()
+
+        service = SizingService(jobs=1, cache=None, run_dir=tmp_path / "run")
+        try:
+            record = sizing
+            deadline = time.monotonic() + 60.0
+            while not record.done and time.monotonic() < deadline:
+                record = service.store.wait(record.id, record.status, 5.0)
+            assert len(service._drainers) == 1
+        finally:
+            service.close()
+        assert record.status == "ok"
+        assert main(["queue", "inspect", str(db), "--json"]) == 0
+        failed = json.loads(capsys.readouterr().out)["failed"]
+        assert [job["id"] for job in failed] == [stale.id]
+        assert "unknown job kind 'wphase'" in failed[0]["error"]
+
+
+    def test_no_batch_drain_surface(self, live, tmp_path):
+        """The service drains one record per round: no ``batch_drain``
+        knob, no batch series in ``/v1/metrics`` or fields in
+        ``/v1/stats``."""
+        with pytest.raises(TypeError, match="batch_drain"):
+            SizingService(cache=None, run_dir=tmp_path / "b", batch_drain=2)
+        live.client.size(circuit="c17", delay_spec=0.6)
+        stats = live.client.stats()
+        assert "batched_jobs" not in stats
+        assert "batch_drain" not in stats["executor"]
+        assert "repro_batch" not in live.client.metrics()
+
+
 class TestErrors:
     @pytest.mark.parametrize("body, fragment", [
         ({}, "exactly one of"),
@@ -335,6 +384,9 @@ class TestErrors:
         ({"circuit": "c17", "flow_backend": "ssp"}, "unknown flow"),
         ({"circuit": "c17", "flow_backend": "ssp-legacy"}, "unknown flow"),
         ({"circuit": "c17", "flow_backend": "cplex"}, "unknown flow"),
+        ({"circuit": "c17", "kind": "wphase"}, "'kind' must be one of"),
+        ({"circuit": "c17", "options": {"kernel": "scalar"}},
+         "unknown MinfloOptions"),
     ])
     def test_malformed_bodies_get_400(self, live, body, fragment):
         with pytest.raises(ServiceError) as err:

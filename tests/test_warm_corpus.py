@@ -5,8 +5,8 @@ payload is byte-identical (modulo volatile wall-clock keys) to a cold
 run — seeding only changes how much work the solver does, never what
 it returns.  The suite drives the real executors end to end:
 
-* seeded-vs-cold parity over drifting-spec sweeps (sizing and W-phase,
-  plus a tier-preset circuit at its paper spec),
+* seeded-vs-cold parity over drifting-spec sweeps (plus a tier-preset
+  circuit at its paper spec),
 * forced divergence: a poisoned donor trajectory (valid checksum,
   wrong bumps) must fall back to a bitwise cold result,
 * corrupt / version-mismatched warm records are quarantined like PR 6
@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.dag import build_sizing_dag
 from repro.runner.cache import ResultCache
 from repro.runner.corpus import (
     WarmCorpus,
@@ -25,7 +26,7 @@ from repro.runner.corpus import (
     record_checksum,
 )
 from repro.runner.executor import run_campaign, run_one
-from repro.runner.spec import Job, tier_preset
+from repro.runner.spec import Job, resolve_circuit, tier_preset
 from repro.sizing.serialize import canonical_json, comparable_payload
 from repro.tech import default_technology
 
@@ -53,10 +54,6 @@ _SWEEPS = {
         Job("rca:8", 0.92),
         Job("rca:8", 0.88),
     ],
-    # W-phase seeding needs a dominated-budget donor: budgets shrink
-    # with the spec, so a descending sweep makes every earlier solution
-    # a legal seed for every later job.
-    "wphase-drift": [Job("rca:8", s, kind="wphase") for s in (0.95, 0.9, 0.8)],
 }
 
 
@@ -116,18 +113,6 @@ class TestDivergenceFallback:
         assert warm.warm_hit and warm.warm_fallback and not warm.warm_seeded
         assert _comparable(warm) == _comparable(cold)
 
-    def test_undominated_wphase_donor_falls_back_to_cold(self, tmp_path):
-        """A donor whose budgets do NOT dominate the new job's fails the
-        seeding gate (no certificate) — cold result, fallback flagged."""
-        cache = ResultCache(tmp_path / "corpus")
-        spec = f"disk:{tmp_path / 'corpus'}"
-        run_one(Job("rca:8", 0.85, kind="wphase"), cache, warm=spec)
-        target = Job("rca:8", 0.95, kind="wphase")  # looser: donor below
-        cold = run_one(target, cache=None)
-        warm = run_one(target, cache, warm=spec)
-        assert warm.warm_hit and warm.warm_fallback and not warm.warm_seeded
-        assert _comparable(warm) == _comparable(cold)
-
 
 class TestQuarantine:
     def _seed_corpus(self, cache, spec):
@@ -141,10 +126,11 @@ class TestQuarantine:
     def _query_for(self, job: Job) -> dict:
         from dataclasses import asdict
 
-        from repro.runner.executor import _wphase_context
         from repro.sizing import TilosOptions
 
-        _, dag, _ = _wphase_context(job)
+        dag = build_sizing_dag(
+            resolve_circuit(job.circuit), default_technology(), mode=job.mode
+        )
         return WarmSession(None)._build_query(
             "sizing",
             dag=dag,
@@ -181,6 +167,46 @@ class TestQuarantine:
             assert cache.get_warm(key) is None
             assert cache.get(key) == payloads[key]
 
+    def test_parent_records_stripped_by_refresh(self, tmp_path):
+        """Records written before the W-phase kind and the TILOS
+        engine/kernel options went away — a ``wphase`` seed and a
+        version-1 sizing record whose options carry ``engine`` and
+        ``kernel`` — are stripped when the index first sees them; the
+        payloads they rode with stay intact."""
+        cache = ResultCache(tmp_path / "corpus")
+        spec = f"disk:{tmp_path / 'corpus'}"
+        k1, k2 = self._seed_corpus(cache, spec)
+        payloads = {k: cache.get(k) for k in (k1, k2)}
+
+        sizing = cache.get_warm(k1)
+        wphase = {
+            key: sizing[key]
+            for key in ("fingerprint", "mode", "tech", "netlist_sha256",
+                        "dag_sha", "features")
+        }
+        n = len(payloads[k1]["result"]["x"])
+        wphase.update(
+            version=1, kind="wphase", options={"engine": "vectorized"},
+            delay_spec=0.92, target=None,
+            data={"x": [1.0] * n, "budgets": [50.0] * n},
+        )
+        wphase["checksum"] = record_checksum(wphase)
+        _rewrite_warm(cache, k1, wphase)
+        old_sizing = cache.get_warm(k2)
+        old_sizing["version"] = 1
+        old_sizing["options"] = dict(
+            old_sizing["options"], engine="incremental", kernel="vectorized"
+        )
+        old_sizing["checksum"] = record_checksum(old_sizing)
+        _rewrite_warm(cache, k2, old_sizing)
+
+        corpus = WarmCorpus(ResultCache(tmp_path / "corpus"))
+        corpus.refresh()
+        assert len(corpus) == 0
+        for key in (k1, k2):
+            assert cache.get_warm(key) is None
+            assert cache.get(key) == payloads[key]
+
     def test_non_dict_warm_record_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path / "corpus")
         spec = f"disk:{tmp_path / 'corpus'}"
@@ -200,8 +226,8 @@ class TestParallelSerialParity:
         jobs = [
             Job("rca:6", 0.95),
             Job("rca:6", 0.90),
-            Job("rca:8", 0.92, kind="wphase"),
-            Job("rca:8", 0.85, kind="wphase"),
+            Job("rca:8", 0.92),
+            Job("rca:8", 0.85),
         ]
         serial_cache = ResultCache(tmp_path / "serial")
         serial = run_campaign(
