@@ -1,8 +1,7 @@
 """Compare a fresh benchmark run against its committed baseline.
 
-Handles every gated harness document — ``BENCH_service.json``
-(``repro-bench-service/1``) and ``BENCH_warmstart.json``
-(``repro-bench-warmstart/1``); the document schema picks the
+Handles every gated harness document — today ``BENCH_service.json``
+(``repro-bench-service/1``); the document schema picks the
 comparison.
 
 CI runners differ wildly in raw speed, so absolute wall times are never
@@ -10,15 +9,9 @@ compared.  The regression gate uses machine-independent signals only:
 
 * same-machine ratios — the service's warm-vs-cold throughput ratio.
   Both sides ran on the same machine, so the ratio survives runner
-  changes.
-* deterministic work counters — the warm-start drift sweep's
-  iteration reduction and seeded-job count; a drop means retrieval or
-  gating got structurally worse even if the runner hides it.  Fails
-  when the current value drops more than ``--threshold`` (default
-  20%) below the baseline.
+  changes; its floor derives from ``--threshold`` (default 20%).
 * ``parity_ok`` — cached and cross-replica service replies must be
-  byte-identical to fresh executions, and warm-started results to
-  cold ones.
+  byte-identical to fresh executions.
 * service booleans and counters — ``admission_ok``, warm-phase
   ``cache_hit_rate``, and the cold-phase execution count.
 
@@ -98,57 +91,9 @@ def compare_service(baseline: dict, current: dict, threshold: float) -> list[str
     return failures
 
 
-def compare_warmstart(
-    baseline: dict, current: dict, threshold: float
-) -> list[str]:
-    """Warm-start corpus regression check (empty list == pass).
-
-    Bitwise parity of warm vs cold results is the hard contract — any
-    divergence fails outright.  The performance gate mirrors the bench
-    harness's own acceptance floor (scored-bump reduction >= 30% or
-    core wall speedup >= 1.3x; the reduction is a deterministic
-    counter, so no runner allowance applies to the floor), plus a
-    regression check of the reduction against the committed baseline.
-    """
-    failures: list[str] = []
-    base, cur = baseline["summary"], current["summary"]
-    if not cur["parity_ok"]:
-        for parity in cur.get("parity_failures", []):
-            failures.append(f"warm/cold parity broken: {parity}")
-        if not cur.get("parity_failures"):
-            failures.append("warm/cold parity broken")
-    reduction = cur["iter_reduction"]
-    floor = cur.get("target_iter_reduction", 0.30)
-    speedup = cur.get("min_core_wall_speedup", 0.0)
-    speedup_floor = cur.get("target_wall_speedup", 1.3)
-    if reduction < floor and speedup < speedup_floor:
-        failures.append(
-            f"drift-sweep saving below floor: iteration reduction "
-            f"{reduction:.0%} < {floor:.0%} and core wall speedup "
-            f"{speedup}x < {speedup_floor}x"
-        )
-    base_reduction = base.get("iter_reduction")
-    if base_reduction:
-        regressed_floor = base_reduction * (1.0 - threshold)
-        if reduction < regressed_floor:
-            failures.append(
-                f"iteration reduction regressed {base_reduction:.0%} -> "
-                f"{reduction:.0%} (floor {regressed_floor:.0%})"
-            )
-    base_seeded = base.get("campaign_seeded", 0)
-    if cur.get("campaign_seeded", 0) < base_seeded:
-        failures.append(
-            f"campaign seeded-job count fell {base_seeded} -> "
-            f"{cur.get('campaign_seeded', 0)} — retrieval or gating "
-            f"got structurally worse"
-        )
-    return failures
-
-
 #: Comparison routine per benchmark document schema.
 COMPARATORS = {
     "repro-bench-service/1": compare_service,
-    "repro-bench-warmstart/1": compare_warmstart,
 }
 
 

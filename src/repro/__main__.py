@@ -269,35 +269,6 @@ def _campaign_cache(args: argparse.Namespace):
     return ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
 
 
-def _warm_corpus_spec(args: argparse.Namespace) -> str | None:
-    """Resolve ``--warm-corpus`` into a backend spec string.
-
-    The bare flag reuses the command's own cache location (the common
-    case: the corpus lives next to the results it seeds from); an
-    explicit ``SPEC`` names any other backend and still works with
-    ``--no-cache`` (read-only probing — with no result cache the run's
-    own trajectories are not recorded).  Returns None when warm starts
-    are off.  Raises ``SystemExit(2)`` for ``--no-cache`` + the bare
-    flag — there is no cache location to reuse.
-    """
-    flag = getattr(args, "warm_corpus", None)
-    if flag is None:
-        return None
-    if flag is not True:
-        return flag
-    if args.no_cache:
-        print("error: --warm-corpus needs a result cache "
-              "(drop --no-cache or pass an explicit backend spec)",
-              file=sys.stderr)
-        raise SystemExit(2)
-    backend = getattr(args, "cache_backend", None)
-    if backend:
-        return backend
-    from repro.runner import DEFAULT_CACHE_DIR
-
-    return f"disk:{args.cache_dir or DEFAULT_CACHE_DIR}"
-
-
 def _install_cli_faults(args: argparse.Namespace, run_dir: Path | None) -> None:
     """Install a ``--faults`` schedule before a command starts running.
 
@@ -349,7 +320,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         cache=_campaign_cache(args),
         run_dir=run_dir,
         timeout=args.timeout,
-        warm_corpus=_warm_corpus_spec(args),
     )
     if args.json:
         print(json.dumps(campaign_to_dict(result), indent=2))
@@ -369,7 +339,6 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=_campaign_cache(args),
         timeout=args.timeout,
-        warm_corpus=_warm_corpus_spec(args),
     )
     if args.json:
         print(json.dumps(campaign_to_dict(result), indent=2))
@@ -422,7 +391,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         quota_rate=args.quota,
         quota_burst=args.quota_burst,
         trace=not args.no_trace,
-        warm_corpus=_warm_corpus_spec(args),
         faults=args.faults,
         fault_seed=args.fault_seed,
         **failure_knobs,
@@ -512,12 +480,6 @@ def _add_serve_parser(sub) -> None:
     p_serve.add_argument("--quota-burst", type=float, default=None,
                          help="per-client burst allowance "
                               "(default: 2x --quota)")
-    p_serve.add_argument("--warm-corpus", nargs="?", const=True,
-                         default=None, metavar="SPEC",
-                         help="seed cache misses from nearest prior "
-                              "solutions (results stay bitwise "
-                              "identical); bare flag reuses the service "
-                              "cache, SPEC names another backend")
     p_serve.add_argument("--no-trace", action="store_true",
                          help="disable span tracing (metrics stay on); "
                               "with tracing and a --run-dir, spans "
@@ -571,12 +533,6 @@ def _add_campaign_parser(sub) -> None:
                        help="disable the result cache entirely")
         p.add_argument("--timeout", type=float, default=None,
                        help="per-job wall-time budget in seconds")
-        p.add_argument("--warm-corpus", nargs="?", const=True,
-                       default=None, metavar="SPEC",
-                       help="seed solves from nearest prior solutions "
-                            "(results stay bitwise identical); bare flag "
-                            "reuses the campaign cache, SPEC names "
-                            "another backend")
         p.add_argument("--json", action="store_true",
                        help="print a JSON digest instead of tables")
         _add_fault_flags(p)

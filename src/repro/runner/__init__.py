@@ -9,6 +9,8 @@ result cache, and resume after interruption:
   :class:`Job` expansion (tier presets mirror ``REPRO_BENCH_TIER``);
 * :mod:`repro.runner.cache` — on-disk store keyed on netlist + tech +
   options + schema versions;
+* :mod:`repro.runner.trajectory` — one TILOS trajectory record per
+  sizing instance in the same store, which seeds repeated instances;
 * :mod:`repro.runner.executor` — pool execution with per-job timeout,
   failure isolation and deterministic result ordering;
 * :mod:`repro.runner.progress` / :mod:`repro.runner.report` — JSONL
@@ -104,7 +106,6 @@ def run(
     timeout: float | None = None,
     append_log: bool = False,
     trace: bool = True,
-    warm_corpus: str | None = None,
 ) -> CampaignResult:
     """Run a campaign end to end: cache probe, pool, JSONL streaming.
 
@@ -112,11 +113,10 @@ def run(
     to disable caching entirely; ``run_dir`` (optional) receives the
     ``campaign.jsonl`` run log that makes the campaign resumable plus
     (with ``trace=True``) a ``trace.jsonl`` of per-job span trees
-    readable by ``python -m repro trace``; ``warm_corpus`` (a cache
-    backend spec string) turns on corpus warm starts — cache misses
-    probe prior solutions for a seed, with a divergence monitor
-    guaranteeing results bitwise identical to a cold run (see
-    :mod:`repro.runner.corpus`).
+    readable by ``python -m repro trace``.  With a cache, executed
+    jobs warm-start TILOS from the instance's stored trajectory, with
+    results bitwise identical to a cold run (see
+    :mod:`repro.runner.trajectory`).
     """
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
@@ -140,7 +140,6 @@ def run(
             on_outcome=log.record if log is not None else None,
             keys=keys,
             trace_sink=trace_sink,
-            warm_corpus=warm_corpus,
         )
     finally:
         if trace_sink is not None:
@@ -152,7 +151,6 @@ def resume(
     jobs: int = 1,
     cache: ResultCache | str | Path | None = DEFAULT_CACHE_DIR,
     timeout: float | None = None,
-    warm_corpus: str | None = None,
 ) -> CampaignResult:
     """Resume an interrupted campaign from its run directory.
 
@@ -176,5 +174,4 @@ def resume(
         run_dir=run_dir,
         timeout=timeout,
         append_log=True,
-        warm_corpus=warm_corpus,
     )

@@ -157,7 +157,9 @@ class DiskBackend:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                # One-shot ``dumps`` takes the C encoder; ``dump`` to a
+                # stream would take the pure-Python one (same bytes).
+                handle.write(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -432,7 +434,10 @@ def open_backend(spec: str | Path) -> CacheBackend:
             shared: CacheBackend = SqliteBackend(shared_part)
         else:
             shared = open_backend(shared_part)
-        return TieredBackend(DiskBackend(local_part), shared)
+        # ``describe()`` writes the L1 as ``disk:DIR``; accept that form
+        # too, so a described tiered cache reopens to the same stores.
+        local = DiskBackend(local_part.removeprefix("disk:"))
+        return TieredBackend(local, shared)
     # Windows-style paths ("C:\cache") and unknown schemes both land
     # here; a single-letter "scheme" is a drive, everything else a typo.
     if len(scheme) == 1:

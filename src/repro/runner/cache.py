@@ -22,6 +22,11 @@ concurrent writers of the same key settle on one intact copy.  Any
 unreadable, corrupt, or version-mismatched entry is treated as a miss
 — the job simply re-runs — and the disk backend quarantines corrupt
 files to ``*.bad`` so they cannot poison later probes.
+
+The same backend also holds one TILOS trajectory record per sizing
+instance (:mod:`repro.runner.trajectory`) under keys of their own
+(:data:`TRAJECTORY_PREFIX`); :meth:`ResultCache.get`, ``scan`` and
+``len`` see result entries only.
 """
 
 from __future__ import annotations
@@ -38,7 +43,13 @@ from repro.runner.spec import Job, resolve_circuit
 from repro.sizing import serialize
 from repro.tech import default_technology
 
-__all__ = ["CACHE_LAYOUT_VERSION", "ResultCache", "job_key", "netlist_digest"]
+__all__ = [
+    "CACHE_LAYOUT_VERSION",
+    "TRAJECTORY_PREFIX",
+    "ResultCache",
+    "job_key",
+    "netlist_digest",
+]
 
 #: Probe outcomes per backend scheme, in the process-global registry
 #: (the cache outlives any one service instance; ``/v1/metrics``
@@ -48,6 +59,11 @@ _PROBES = get_registry().counter(
     "Result-cache probes by backend scheme and outcome.",
     ("backend", "result"),
 )
+
+#: Key prefix of the TILOS trajectory records that share the backend
+#: with result entries (:mod:`repro.runner.trajectory`); result keys
+#: are bare hex digests, so the two never collide.
+TRAJECTORY_PREFIX = "tilos-"
 
 #: Version of the cache entry layout itself (bump to orphan every
 #: existing entry when the payload structure changes incompatibly).
@@ -163,18 +179,9 @@ class ResultCache:
             return None
         return payload
 
-    def put(self, key: str, payload: dict, warm: dict | None = None) -> None:
-        """Atomically store ``payload`` under ``key``.
-
-        ``warm`` optionally attaches a warm-start record (see
-        :mod:`repro.runner.corpus`) *inside* the entry envelope, next
-        to — never inside — the payload: the payload bytes are part of
-        the service's byte-identity contract, while the warm record is
-        retrieval metadata that older readers simply ignore.
-        """
-        entry: dict = {"cache_layout": CACHE_LAYOUT_VERSION, "payload": payload}
-        if warm is not None:
-            entry["warm"] = warm
+    def put(self, key: str, payload: dict) -> None:
+        """Atomically store ``payload`` under ``key``."""
+        entry = {"cache_layout": CACHE_LAYOUT_VERSION, "payload": payload}
         try:
             self.backend.put(key, entry)
         except (OSError, sqlite3.Error):
@@ -182,44 +189,15 @@ class ResultCache:
             # swallowing it keeps a sick store from failing good jobs.
             _PROBES.inc(backend=self._scheme, result="error")
 
-    def get_warm(self, key: str) -> dict | None:
-        """The warm-start record stored with ``key``, or None.
-
-        Unlike :meth:`get` this never counts as a cache probe — corpus
-        index scans would otherwise swamp the hit/miss telemetry.
-        """
-        try:
-            entry = self.backend.get(key)
-        except (OSError, sqlite3.Error):
-            return None
-        if entry is None or entry.get("cache_layout") != CACHE_LAYOUT_VERSION:
-            return None
-        warm = entry.get("warm")
-        return warm if isinstance(warm, dict) else None
-
-    def strip_warm(self, key: str) -> None:
-        """Quarantine a corrupt warm record by rewriting the entry
-        without it (the payload — still valid — survives).
-
-        The warm-record analogue of the disk backend's ``*.bad`` rename
-        and the SQLite backend's torn-row delete: a record that fails
-        validation is removed so it cannot poison later probes.
-        """
-        try:
-            entry = self.backend.get(key)
-            if entry is None or "warm" not in entry:
-                return
-            entry.pop("warm", None)
-            self.backend.put(key, entry)
-        except (OSError, sqlite3.Error):
-            pass  # quarantine is best-effort under storage failure
-
     def scan(self) -> "list[str]":
-        """Every stored key (for corpus mining and fleet accounting)."""
-        return list(self.backend.scan())
+        """Every stored result key (trajectory records are skipped)."""
+        return [
+            key for key in self.backend.scan()
+            if not key.startswith(TRAJECTORY_PREFIX)
+        ]
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.backend.scan())
+        return len(self.scan())

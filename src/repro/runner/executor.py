@@ -5,6 +5,9 @@
 * **Cache probe first.**  Jobs whose content-addressed key already has
   a stored payload never reach the pool — a repeated campaign is pure
   cache replay.
+* **Trajectory warm starts.**  An executed sizing job seeds TILOS
+  from the instance's trajectory record in the same cache
+  (:mod:`repro.runner.trajectory`); payloads equal cold runs.
 * **Process pool.**  Remaining jobs run on a
   :class:`concurrent.futures.ProcessPoolExecutor` (``jobs=1`` runs
   inline in-process, which is what the tests and the benchmarks use
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import multiprocessing
 import signal
+import sqlite3
 import threading
 import time
 import traceback
@@ -57,7 +61,6 @@ from repro.obs.trace import (
     trace_scope,
 )
 from repro.runner.cache import ResultCache, job_key, netlist_digest
-from repro.runner.corpus import WarmSession, record_warm_outcome
 from repro.runner.spec import CampaignSpec, Job, resolve_circuit
 
 __all__ = [
@@ -108,15 +111,6 @@ class JobOutcome:
     #: Trace id of the execution that produced this outcome (None when
     #: tracing is off); volatile telemetry, never part of the payload.
     trace_id: str | None = None
-    #: Warm-start telemetry (all False when the corpus was off or the
-    #: job replayed from cache): a corpus probe found a donor record
-    #: (``warm_hit``), the donor actually seeded the solve
-    #: (``warm_seeded``), or it was rejected / diverged and the job ran
-    #: cold (``warm_fallback``).  Never part of the payload — seeded
-    #: and cold runs cache identical entries.
-    warm_hit: bool = False
-    warm_seeded: bool = False
-    warm_fallback: bool = False
 
     def __post_init__(self) -> None:
         if self.duration_s is None:
@@ -126,16 +120,6 @@ class JobOutcome:
     def completed(self) -> bool:
         """True when the job finished computing (even if infeasible)."""
         return self.status in COMPLETED_STATUSES
-
-    def warm_summary(self) -> dict | None:
-        """Compact warm-start flags for job records (None on cold runs)."""
-        if not (self.warm_hit or self.warm_seeded or self.warm_fallback):
-            return None
-        return {
-            "hit": self.warm_hit,
-            "seeded": self.warm_seeded,
-            "fallback": self.warm_fallback,
-        }
 
 
 @dataclass
@@ -167,22 +151,22 @@ class CampaignResult:
 
 
 def _execute_sizing(
-    job: Job, warm: WarmSession | None = None
+    job: Job, cache: ResultCache | None = None
 ) -> tuple[str, dict]:
     """Full TILOS + MINFLOTRANSIT pipeline for one job.
 
-    ``warm`` is this job's warm-start session (None when the corpus is
-    off): the nearest prior trajectory seeds the TILOS solve — which
-    owns the divergence-safe replay, so the payload is bitwise what a
-    cold run produces — and the freshly computed trajectory is staged
-    as this job's own corpus record.
+    With a ``cache``, the instance's stored TILOS trajectory seeds the
+    solve and the run's own trajectory is stored back when it got
+    further (:func:`~repro.runner.trajectory.seeded_tilos`); the
+    replay is checked bitwise, so the payload is what a cold run
+    produces either way.
     """
     from repro.circuit.mapping import is_primitive_circuit, map_to_primitives
     from repro.dag import build_sizing_dag
     from repro.flow.duality import stats_scope
-    from repro.sizing import minflotransit, tilos_size
+    from repro.runner.trajectory import seeded_tilos
+    from repro.sizing import minflotransit
     from repro.sizing.serialize import result_to_dict
-    from repro.sizing.tilos import TilosOptions
     from repro.tech import default_technology
     from repro.timing import GraphTimer
 
@@ -207,35 +191,16 @@ def _execute_sizing(
         "target": target,
         "min_area": dag.area(x_min),
     }
-    topts = TilosOptions()
-    donor = None
-    if warm is not None:
-        with span("warmstart.probe", circuit=job.circuit) as probe_span:
-            donor = warm.probe_sizing(
-                dag=dag,
-                tech=tech,
-                mode=job.mode,
-                options=topts,
-                delay_spec=job.delay_spec,
-                target=target,
-            )
-            probe_span.set(hit=donor is not None)
     with stats_scope() as flow_stats:
         with span("tilos.seed", circuit=job.circuit) as seed_span:
-            if warm is not None:
-                with span("warmstart.seed", circuit=job.circuit) as ws:
-                    seed = tilos_size(
-                        dag, target, topts, keep_trace=True, warm=donor,
-                    )
-                    ws.set(
-                        result=(seed.warm or {}).get("result") or "cold",
-                        replayed=(seed.warm or {}).get("replayed", 0),
-                    )
-                warm.note_seed((seed.warm or {}).get("result"))
-                warm.stage_sizing(seed, d_min)
-            else:
-                seed = tilos_size(dag, target)
-            seed_span.set(iterations=seed.iterations, feasible=seed.feasible)
+            seed, rejected = seeded_tilos(dag, target, cache)
+            seed_span.set(
+                iterations=seed.iterations,
+                feasible=seed.feasible,
+                replayed=(seed.warm or {}).get("replayed", 0),
+            )
+            if rejected is not None:
+                seed_span.set(rejected=rejected)
         payload["seed"] = {
             "feasible": seed.feasible,
             "area": seed.area,
@@ -320,16 +285,18 @@ _EXECUTORS = {
 }
 
 
-def execute_job(job: Job, warm: WarmSession | None = None) -> tuple[str, dict]:
+def execute_job(
+    job: Job, cache: ResultCache | None = None
+) -> tuple[str, dict]:
     """Run one job to completion in this process; returns (status, payload).
 
-    ``warm`` (a :class:`~repro.runner.corpus.WarmSession`) reaches the
-    cacheable sizing executor only — phase-timing jobs are wall-clock
-    measurements with nothing to seed.
+    ``cache`` (the job's result cache) reaches the cacheable sizing
+    executor only, for its TILOS trajectory record — phase-timing jobs
+    are wall-clock measurements with nothing to seed.
     """
     probe("solver")  # injected solver-phase delays land here
-    if warm is not None and job.kind in CACHEABLE_KINDS:
-        return _EXECUTORS[job.kind](job, warm=warm)
+    if cache is not None and job.kind in CACHEABLE_KINDS:
+        return _EXECUTORS[job.kind](job, cache=cache)
     return _EXECUTORS[job.kind](job)
 
 
@@ -410,11 +377,26 @@ def _with_timeout(fn, timeout: float | None):
     return _watchdog_timeout(fn, timeout)
 
 
+def _job_cache(cache: ResultCache | str | None) -> ResultCache | None:
+    """The job's result cache in this process.
+
+    A process-pool worker reopens the parent's cache from its
+    :meth:`~repro.runner.cache.ResultCache.describe` spec; a cache that
+    cannot be opened leaves the job cold.
+    """
+    if not isinstance(cache, str):
+        return cache
+    try:
+        return ResultCache(cache)
+    except (OSError, sqlite3.Error):
+        return None
+
+
 def pool_entry(
     job: Job,
     timeout: float | None,
     trace: dict | None = None,
-    warm: str | None = None,
+    cache: ResultCache | str | None = None,
     faults: tuple | None = None,
 ) -> tuple[str, dict | None, str | None, float, dict | None]:
     """Worker-side wrapper: isolate failures, enforce the timeout.
@@ -432,13 +414,11 @@ def pool_entry(
     survives the forkserver boundary.  With ``trace=None`` no context
     is created and no span cost is paid: tracing costs nothing when off.
 
-    ``warm`` is an optional warm-corpus backend *spec string* (the
-    corpus holds live connections, so workers resolve it locally and
-    cache the index per process).  The session's telemetry — and the
-    job's own staged corpus record — come back under ``obs["warm"]``;
-    the parent folds the telemetry into metrics and stores the record
-    with the cache entry.  ``obs`` is None only when tracing, the
-    corpus and fault injection are all off.
+    ``cache`` is the job's result cache, or its spec string when the
+    call crosses a process boundary (live connections do not pickle).
+    The job reads and writes only its TILOS trajectory record there;
+    the parent stores the payload.  ``obs`` is None only when tracing
+    and fault injection are both off.
 
     ``faults`` is an optional fault-injection config
     (:meth:`~repro.faults.injector.FaultInjector.config_args`); the
@@ -462,7 +442,7 @@ def pool_entry(
         if sink is not None
         else nullcontext()
     )
-    session = WarmSession.open(warm)
+    cache = _job_cache(cache)
     status: str
     payload: dict | None = None
     error: str | None = None
@@ -476,7 +456,7 @@ def pool_entry(
             ):
                 def _run():
                     probe("worker")  # kill/hang faults strike at entry
-                    return execute_job(job, warm=session)
+                    return execute_job(job, cache=cache)
 
                 status, payload = _with_timeout(_run, timeout)
     except JobTimeoutError as exc:
@@ -493,12 +473,10 @@ def pool_entry(
         and multiprocessing.parent_process() is not None
         else None
     )
-    if sink is not None or session is not None or fault_events:
+    if sink is not None or fault_events:
         obs = {}
         if sink is not None:
             obs["spans"] = sink.drain()
-        if session is not None:
-            obs["warm"] = session.as_obs()
         if fault_events:
             obs["faults"] = fault_events
     return status, payload, error, time.perf_counter() - start, obs
@@ -538,19 +516,11 @@ def probe_cache(
     )
 
 
-def store_outcome(
-    outcome: JobOutcome,
-    cache: ResultCache | None,
-    warm: dict | None = None,
-) -> None:
+def store_outcome(outcome: JobOutcome, cache: ResultCache | None) -> None:
     """Store a freshly computed, cacheable outcome in the result cache.
 
     No-op for cache misses that failed or timed out, for replayed
     (already cached) outcomes, and for uncacheable job kinds.
-
-    ``warm`` optionally attaches the job's own corpus record to the
-    entry (see :meth:`~repro.runner.cache.ResultCache.put`); it rides
-    next to the payload, never inside it.
     """
     if (
         outcome.completed
@@ -561,32 +531,7 @@ def store_outcome(
         # content-addressable, so never cached.
         and outcome.job.kind in CACHEABLE_KINDS
     ):
-        cache.put(outcome.key, outcome.payload, warm=warm)
-
-
-def apply_warm(
-    outcome: JobOutcome, obs: dict | None
-) -> tuple[JobOutcome, dict | None]:
-    """Fold a worker's warm telemetry into its outcome (parent side).
-
-    Returns the (possibly updated) outcome plus the staged corpus
-    record to store with the cache entry.  This is also the single
-    place ``repro_warmstart_total`` moves: worker-side increments would
-    be lost across a process pool and double-counted in-thread, so the
-    counter follows the obs dict home instead.
-    """
-    warm_obs = (obs or {}).get("warm")
-    if not warm_obs:
-        return outcome, None
-    blob = warm_obs.pop("blob", None)
-    record_warm_outcome(warm_obs)
-    outcome = replace(
-        outcome,
-        warm_hit=bool(warm_obs.get("hit")),
-        warm_seeded=bool(warm_obs.get("seeded")),
-        warm_fallback=bool(warm_obs.get("fallback")),
-    )
-    return outcome, blob
+        cache.put(outcome.key, outcome.payload)
 
 
 _UNRESOLVED = object()  # sentinel: run_one must compute the key itself
@@ -598,7 +543,6 @@ def run_one(
     timeout: float | None = None,
     index: int = 0,
     key: str | None | object = _UNRESOLVED,
-    warm: str | None = None,
 ) -> JobOutcome:
     """Run a single job in this process: probe, execute, store.
 
@@ -612,10 +556,9 @@ def run_one(
     ``key`` may be passed in by callers that already computed it (the
     service does, to log it); by default it is derived here, and a job
     whose circuit token cannot resolve simply executes uncached and
-    fails in isolation, exactly like a campaign job would.
-
-    ``warm`` is an optional warm-corpus backend spec string (see
-    :func:`pool_entry`); cache hits never probe the corpus.
+    fails in isolation, exactly like a campaign job would.  A cache hit
+    reads the backend once; a miss also reads (and may write) the
+    instance's TILOS trajectory record.
     """
     if key is _UNRESOLVED:
         key = campaign_keys([job], cache)[0]
@@ -626,7 +569,7 @@ def run_one(
             hit = replace(hit, trace_id=ctx.trace_id)
         return hit
     status, payload, error, wall, obs = pool_entry(
-        job, timeout, current_carrier(), warm
+        job, timeout, current_carrier(), cache
     )
     emit_obs(obs)
     outcome = JobOutcome(
@@ -640,8 +583,7 @@ def run_one(
         error=error,
         trace_id=ctx.trace_id if ctx is not None else None,
     )
-    outcome, warm_blob = apply_warm(outcome, obs)
-    store_outcome(outcome, cache, warm=warm_blob)
+    store_outcome(outcome, cache)
     return outcome
 
 
@@ -681,7 +623,6 @@ def run_campaign(
     on_outcome=None,
     keys: list[str | None] | None = None,
     trace_sink: SpanSink | None = None,
-    warm_corpus: str | None = None,
 ) -> CampaignResult:
     """Run a campaign; returns outcomes in job-expansion order.
 
@@ -701,11 +642,9 @@ def run_campaign(
     entries and the run digest are byte-identical with tracing on or
     off.
 
-    ``warm_corpus`` is an optional corpus backend spec string: each
-    cache-missed job probes it for the nearest prior solution and
-    seeds its solver (payloads stay bitwise-identical to cold runs —
-    the solver hooks own the fallback), and every completed job's own
-    trajectory is stored with its cache entry for future probes, so a
+    Every executed job seeds its TILOS run from the instance's
+    trajectory record in ``cache`` and stores its own back when it got
+    further (payloads stay bitwise-identical to cold runs), so a
     drifting sweep warms itself up as it goes.
     """
     if isinstance(spec, CampaignSpec):
@@ -735,7 +674,6 @@ def run_campaign(
 
     def finish(outcome: JobOutcome, obs: dict | None = None) -> None:
         observe_faults(get_registry(), (obs or {}).get("faults"))
-        outcome, warm_blob = apply_warm(outcome, obs)
         if tracing:
             trace_id, root_id = trace_ids[outcome.index]
             outcome = replace(outcome, trace_id=trace_id)
@@ -757,7 +695,7 @@ def run_campaign(
             })
             trace_sink.emit_many(records)
         slots[outcome.index] = outcome
-        store_outcome(outcome, cache, warm=warm_blob)
+        store_outcome(outcome, cache)
         if on_outcome is not None:
             on_outcome(outcome)
 
@@ -778,7 +716,7 @@ def run_campaign(
     if pending and jobs <= 1:
         for index, job, key in pending:
             status, payload, error, wall, obs = pool_entry(
-                job, timeout, carrier_for(index), warm_corpus
+                job, timeout, carrier_for(index), cache
             )
             finish(JobOutcome(
                 index=index,
@@ -791,6 +729,7 @@ def run_campaign(
                 error=error,
             ), obs)
     elif pending:
+        cache_spec = cache.describe() if cache is not None else None
         queue_items = list(pending)
         restarts = 0
         while queue_items:
@@ -799,7 +738,7 @@ def run_campaign(
                 futures = {
                     pool.submit(
                         pool_entry, job, timeout, carrier_for(index),
-                        warm_corpus, fault_args,
+                        cache_spec, fault_args,
                     ): (index, job, key)
                     for index, job, key in queue_items
                 }

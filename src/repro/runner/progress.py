@@ -114,9 +114,6 @@ class RunLog:
         }
         if outcome.trace_id is not None:
             record["trace_id"] = outcome.trace_id
-        warm = outcome.warm_summary()
-        if warm is not None:
-            record["warm"] = warm
         self._append(record)
 
 

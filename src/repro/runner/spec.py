@@ -45,13 +45,9 @@ JOB_KINDS = ("sizing", "phases")
 _SUITE_SPECS = {spec.name: spec.delay_spec for spec in SUITE}
 
 #: MinfloOptions fields a campaign may override (scalars only — nested
-#: TilosOptions stay at their defaults so job fingerprints remain flat;
-#: ``warm_corpus`` is execution strategy, not result identity, so it
-#: never enters a job — and therefore never enters a cache key).
+#: TilosOptions stay at their defaults so job fingerprints remain flat).
 _OPTION_FIELDS = frozenset(
-    f.name
-    for f in fields(MinfloOptions)
-    if f.name not in ("tilos", "warm_corpus")
+    f.name for f in fields(MinfloOptions) if f.name != "tilos"
 )
 
 

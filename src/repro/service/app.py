@@ -84,10 +84,8 @@ from repro.obs.trace import (
 )
 from repro.runner import DEFAULT_CACHE_DIR
 from repro.runner.cache import ResultCache, job_key, netlist_digest
-from repro.runner.corpus import warmstart_counts
 from repro.runner.executor import (
     JobOutcome,
-    apply_warm,
     pool_entry,
     probe_cache,
     store_outcome,
@@ -246,10 +244,9 @@ class SizingService:
     metrics stay on — they are nearly free).  With tracing on and a
     ``run_dir``, spans append to ``run_dir/trace.jsonl``.
 
-    ``warm_corpus`` (a cache backend spec string) turns on corpus warm
-    starts: cache misses probe prior solutions for a seed, with a
-    divergence monitor guaranteeing results bitwise identical to a
-    cold run (see :mod:`repro.runner.corpus`).
+    With a cache, executed jobs warm-start TILOS from the instance's
+    stored trajectory, with results bitwise identical to a cold run
+    (see :mod:`repro.runner.trajectory`).
 
     Failure handling: ``max_attempts`` bounds how many times the queue
     re-leases a job before poison-parking it in the dead-letter state;
@@ -273,14 +270,12 @@ class SizingService:
         visibility_timeout: float = 600.0,
         sync_wait: float = 300.0,
         trace: bool = True,
-        warm_corpus: str | None = None,
         max_attempts: int = MAX_ATTEMPTS,
         faults: str | None = None,
         fault_seed: int = 0,
     ):
         if jobs < 1:
             raise ServiceError(f"jobs must be >= 1, got {jobs}", status=500)
-        self.warm_corpus = warm_corpus
         self.fault_spec = faults or None
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
@@ -367,6 +362,15 @@ class SizingService:
             metrics=self.metrics,
         )
         self._pool = self._make_pool(jobs, timeout)
+        # The job's cache as pool tasks see it: this instance (sharing
+        # its breaker) on the worker thread, a spec string that process
+        # workers reopen.
+        self._job_cache = (
+            self.cache.describe()
+            if self.cache is not None
+            and isinstance(self._pool, ProcessPoolExecutor)
+            else self.cache
+        )
         self._lock = threading.Lock()
         self._digests: dict[str, str] = {}
         self._started_at = time.time()
@@ -551,15 +555,10 @@ class SizingService:
         and ``/v1/metrics`` read the identical cells.  ``obs`` is the
         worker-side span bundle shipped back in the result tuple; its
         spans are folded into the phase-seconds metrics and appended to
-        this replica's ``trace.jsonl``.  Warm-corpus telemetry rides
-        the same bundle: :func:`~repro.runner.executor.apply_warm`
-        moves the ``repro_warmstart_total`` counter (parent-side, like
-        the campaign driver) and hands back the job's staged corpus
-        record, stored alongside the cache entry.
+        this replica's ``trace.jsonl``.
         """
         observe_faults(get_registry(), (obs or {}).get("faults"))
-        outcome, warm_blob = apply_warm(outcome, obs)
-        store_outcome(outcome, self.cache, warm=warm_blob)
+        store_outcome(outcome, self.cache)
         self.admission.observe_drain(outcome.wall_seconds)
         self._m_executed.inc()
         self._m_finished.inc(status=outcome.status)
@@ -743,7 +742,7 @@ class SizingService:
         try:
             raw = self._run_pooled(
                 pool_entry, record.job, self.timeout, self._carrier(),
-                self.warm_corpus, self._fault_args(),
+                self._job_cache, self._fault_args(),
             )
         except Exception as exc:  # pool broke twice under this job
             error = f"{type(exc).__name__}: {exc}"
@@ -890,7 +889,6 @@ class SizingService:
                 "workers": self.jobs,
                 "kind": "thread" if self.jobs == 1 else "process",
                 "timeout": self.timeout,
-                "warm_corpus": self.warm_corpus,
             },
             "cache_dir": (
                 str(self.cache.root) if self.cache is not None else None
@@ -905,7 +903,6 @@ class SizingService:
                 **self.store.describe(),
             },
             "admission": self.admission.counters(),
-            "warmstart": warmstart_counts(),
             "flow": flow,
             "breaker": breaker.snapshot() if breaker is not None else None,
             "faults": (

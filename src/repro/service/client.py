@@ -359,7 +359,6 @@ class ServiceClient:
         mode: str | None,
         flow_backend: str | None,
         options: dict | None,
-        kind: str | None = None,
     ) -> dict:
         body: dict = {}
         if circuit is not None:
@@ -368,8 +367,6 @@ class ServiceClient:
             body["bench"] = bench
         if delay_spec is not None:
             body["delay_spec"] = delay_spec
-        if kind is not None:
-            body["kind"] = kind
         if mode is not None:
             body["mode"] = mode
         if flow_backend is not None:
@@ -388,7 +385,6 @@ class ServiceClient:
         options: dict | None = None,
         wait: bool = True,
         wait_timeout: float = 300.0,
-        kind: str | None = None,
     ) -> dict:
         """Size a netlist (``POST /v1/size``) and return the job body.
 
@@ -398,17 +394,14 @@ class ServiceClient:
         server degraded the synchronous request to a 202 ticket (fleet
         mode under load), the client keeps waiting client-side up to
         ``wait_timeout``.  ``wait=False`` is :meth:`submit`.
-        ``kind`` is the request's job kind; the service runs only
-        ``sizing`` jobs (the default) and answers 400 to any other.
         """
         if not wait:
             return self.submit(
                 circuit=circuit, bench=bench, delay_spec=delay_spec,
                 mode=mode, flow_backend=flow_backend, options=options,
-                kind=kind,
             )
         body = self._size_body(
-            circuit, bench, delay_spec, mode, flow_backend, options, kind
+            circuit, bench, delay_spec, mode, flow_backend, options
         )
         data, status = self._request("POST", "/v1/size", body)
         if status == 202 and data.get("status") in _LIVE_STATUSES:
@@ -423,7 +416,6 @@ class ServiceClient:
         mode: str | None = None,
         flow_backend: str | None = None,
         options: dict | None = None,
-        kind: str | None = None,
     ) -> dict:
         """Queue a sizing (``POST /v1/size`` with ``async=true``).
 
@@ -431,7 +423,7 @@ class ServiceClient:
         it with :meth:`wait`, :meth:`events`, or :meth:`job`.
         """
         body = self._size_body(
-            circuit, bench, delay_spec, mode, flow_backend, options, kind
+            circuit, bench, delay_spec, mode, flow_backend, options
         )
         body["async"] = True
         return self._request("POST", "/v1/size", body)[0]

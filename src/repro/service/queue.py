@@ -106,8 +106,7 @@ _SCHEMA = """
         error TEXT,
         payload TEXT,
         finished_at REAL,
-        trace TEXT,
-        warm TEXT
+        trace TEXT
     )
 """
 
@@ -116,7 +115,6 @@ _SCHEMA = """
 _MIGRATIONS = (
     ("duration_s", "REAL"),
     ("trace", "TEXT"),
-    ("warm", "TEXT"),
     ("history", "TEXT"),
 )
 
@@ -145,9 +143,6 @@ class JobRecord:
     #: this job to its span tree in ``trace.jsonl``; None with tracing
     #: off.
     trace: str | None = None
-    #: Warm-start flags (``{"hit", "seeded", "fallback"}``) when the
-    #: corpus touched this job; None for cold runs and cache replays.
-    warm: dict | None = None
     #: Full result payload: the row's payload column for executed jobs;
     #: for a cache replay only the admitting request holds it, and
     #: later readers re-read it from the result cache.
@@ -181,7 +176,6 @@ class JobRecord:
             "created_at": self.created_at,
             "finished_at": self.finished_at,
             "trace_id": self.trace_id,
-            "warm": self.warm,
         }
 
 
@@ -315,7 +309,6 @@ class WorkQueue:
             error=row["error"],
             finished_at=row["finished_at"],
             trace=row["trace"],
-            warm=json.loads(row["warm"]) if row["warm"] else None,
             payload=json.loads(row["payload"]) if row["payload"] else None,
         )
 
@@ -414,14 +407,14 @@ class WorkQueue:
                 cursor = conn.execute(
                     "INSERT INTO jobs (id, job, label, key, client, status, "
                     "created_at, trace, cached, wall_seconds, duration_s, "
-                    "summary, error, finished_at, warm) "
-                    "VALUES ('', ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    "summary, error, finished_at) "
+                    "VALUES ('', ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
                         json.dumps(job.to_dict()), job.label(), key, client,
                         record.status, created_at, trace, int(record.cached),
                         record.wall_seconds, record.duration_s,
                         _json_or_none(record.summary), record.error,
-                        record.finished_at, _json_or_none(record.warm),
+                        record.finished_at,
                     ),
                 )
                 seq = cursor.lastrowid
@@ -470,7 +463,7 @@ class WorkQueue:
                 conn.execute(
                     "UPDATE jobs SET status = ?, cached = ?, wall_seconds = ?, "
                     "duration_s = ?, summary = ?, error = ?, payload = ?, "
-                    "finished_at = ?, warm = ?, lease_owner = NULL, "
+                    "finished_at = ?, lease_owner = NULL, "
                     "lease_expires = NULL WHERE id = ?",
                     (
                         done["status"],
@@ -481,7 +474,6 @@ class WorkQueue:
                         done["error"],
                         _json_or_none(outcome.payload),
                         done["finished_at"],
-                        _json_or_none(done["warm"]),
                         job_id,
                     ),
                 )
@@ -779,5 +771,4 @@ def _terminal(outcome: JobOutcome, duration_s: float | None) -> dict:
         "summary": job_summary(outcome),
         "error": outcome.error,
         "finished_at": time.time(),
-        "warm": outcome.warm_summary(),
     }

@@ -1,97 +1,21 @@
-"""Circuit-feature fingerprints for warm-start retrieval.
+"""Exact structural identity of a sizing instance.
 
-The warm-start corpus (:mod:`repro.runner.corpus`) needs to answer
-"which prior solve looks most like this job?" *before* doing any
-sizing work, so the features here are cheap aggregates of a
-:class:`~repro.dag.circuit_dag.SizingDag` that are invariant under
-node relabeling and construction order: cell-class counts (vertex
-kind x fan-in arity), the level-occupancy histogram, the
-fanout-degree distribution.  Two
-circuits that differ only in net names or gate insertion order produce
-identical fingerprints (property-tested in
-``tests/test_properties.py``).
-
-Two levels of identity coexist on purpose:
-
-* :func:`dag_features` — the *fuzzy* fingerprint used for
-  nearest-neighbor ranking via :func:`fingerprint_distance`.
-* :func:`dag_digest` — the *exact* structural hash (topology, delay
-  coefficients, size bounds, delay law) that gates trajectory replay
-  in :func:`repro.sizing.tilos.tilos_size`.  Replaying a recorded bump
-  sequence is only bitwise-identical to a cold run when the instance
-  is bitwise the same, so the digest covers every array the greedy
-  loop reads.
-
-:func:`fingerprint_distance` is symmetric and zero exactly when two
-records agree on circuit identity *and* the option/spec vector — the
-contract the corpus retrieval tests pin down.
+:func:`dag_digest` hashes everything the TILOS greedy loop reads, so two
+DAGs with equal digests run bit-identical trajectories.  It gates
+trajectory replay in :func:`repro.sizing.tilos.tilos_size` and keys the
+per-instance trajectory records of :mod:`repro.runner.trajectory`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from collections import Counter
 
 import numpy as np
 
 from repro.dag.circuit_dag import SizingDag
 
-__all__ = [
-    "FINGERPRINT_VERSION",
-    "dag_digest",
-    "dag_features",
-    "fingerprint_distance",
-]
-
-#: Bump when the feature layout changes; corpus rows recorded under a
-#: different version are ignored (and stripped) rather than compared.
-FINGERPRINT_VERSION = 1
-
-#: Fanout degrees at or above this share one histogram bucket — the
-#: tail carries little ranking signal and bounding the vector keeps
-#: records small.
-_MAX_FANOUT_BUCKET = 32
-
-
-def dag_features(dag: SizingDag) -> dict:
-    """Relabel-invariant feature vector of a sizing DAG.
-
-    Every entry is an aggregate over vertex *multisets* (counts and
-    histograms), so permuting vertex indices or renaming nets changes
-    nothing.  Returned values are plain JSON types — the dict is
-    stored verbatim inside cache entries.
-    """
-    if dag.n:
-        level_hist = np.bincount(dag.level, minlength=dag.n_levels)
-    else:
-        level_hist = np.zeros(0, dtype=np.int64)
-    degrees = np.array(
-        [min(len(out), _MAX_FANOUT_BUCKET) for out in dag.fanout],
-        dtype=np.int64,
-    )
-    fanout_hist = (
-        np.bincount(degrees, minlength=1) if dag.n
-        else np.zeros(0, dtype=np.int64)
-    )
-    # Cell classes keyed by (vertex kind, fan-in arity) — NOT by gate
-    # instance name, which would break relabel invariance.  Arity
-    # separates inverters from 2- and 3-input cells, which is the bulk
-    # of the cross-circuit ranking signal.
-    fanin = np.bincount(
-        np.asarray(dag.edge_dst, dtype=np.int64), minlength=dag.n
-    )
-    cells = Counter(f"{v.kind}/{int(fanin[v.index])}" for v in dag.vertices)
-    return {
-        "fingerprint": FINGERPRINT_VERSION,
-        "mode": dag.mode,
-        "n": int(dag.n),
-        "n_edges": int(dag.n_edges),
-        "depth": int(dag.n_levels),
-        "cells": {name: int(count) for name, count in sorted(cells.items())},
-        "level_hist": [int(c) for c in level_hist],
-        "fanout_hist": [int(c) for c in fanout_hist],
-    }
+__all__ = ["dag_digest"]
 
 
 def dag_digest(dag: SizingDag) -> str:
@@ -131,79 +55,3 @@ def dag_digest(dag: SizingDag) -> str:
         h.update(str(contiguous.dtype).encode())
         h.update(contiguous.tobytes())
     return h.hexdigest()
-
-
-def _hist_distance(a: list, b: list) -> float:
-    """Normalized L1 distance between two count histograms, in [0, 1]."""
-    n = max(len(a), len(b))
-    if n == 0:
-        return 0.0
-    pa = list(a) + [0] * (n - len(a))
-    pb = list(b) + [0] * (n - len(b))
-    total = sum(pa) + sum(pb)
-    if total == 0:
-        return 0.0
-    return sum(abs(x - y) for x, y in zip(pa, pb)) / total
-
-
-def _cell_distance(a: dict, b: dict) -> float:
-    """Normalized L1 distance between cell-count maps, in [0, 1]."""
-    names = sorted(set(a) | set(b))  # fixed order: exact symmetry
-    total = sum(a.values()) + sum(b.values())
-    if total == 0:
-        return 0.0
-    return sum(abs(a.get(n, 0) - b.get(n, 0)) for n in names) / total
-
-
-def _feature_distance(a: dict, b: dict) -> float:
-    """Fuzzy distance between two :func:`dag_features` dicts, in [0, 4]."""
-    na, nb = a.get("n", 0), b.get("n", 0)
-    size = abs(na - nb) / max(na, nb, 1)
-    return (
-        size
-        + _hist_distance(a.get("level_hist", []), b.get("level_hist", []))
-        + _hist_distance(a.get("fanout_hist", []), b.get("fanout_hist", []))
-        + _cell_distance(a.get("cells", {}), b.get("cells", {}))
-    )
-
-
-def fingerprint_distance(a: dict, b: dict) -> float:
-    """Distance between two corpus records (identity + features).
-
-    Symmetric by construction, and zero exactly when the records agree
-    on circuit identity (``dag_sha``/``netlist_sha256``), mode, tech,
-    job kind, the solver option vector and the delay spec/target.
-    Mismatched identities land at a distance >= 1 so an exact repeat
-    always outranks any cross-circuit transfer candidate; the feature
-    terms then order the cross-circuit candidates by structural
-    similarity.
-    """
-    d = 0.0
-    same_circuit = (
-        a.get("dag_sha") == b.get("dag_sha")
-        and a.get("netlist_sha256") == b.get("netlist_sha256")
-    )
-    if not same_circuit:
-        d += 1.0 + _feature_distance(
-            a.get("features") or {}, b.get("features") or {}
-        )
-    if a.get("kind") != b.get("kind"):
-        d += 32.0
-    if a.get("mode") != b.get("mode"):
-        d += 8.0
-    if a.get("tech") != b.get("tech"):
-        d += 8.0
-    if a.get("options") != b.get("options"):
-        d += 4.0
-    spec_a, spec_b = a.get("delay_spec"), b.get("delay_spec")
-    if isinstance(spec_a, (int, float)) and isinstance(spec_b, (int, float)):
-        d += min(abs(float(spec_a) - float(spec_b)), 1.0) * 0.5
-    elif spec_a != spec_b:
-        d += 0.5
-    target_a, target_b = a.get("target"), b.get("target")
-    if isinstance(target_a, (int, float)) and isinstance(target_b, (int, float)):
-        scale = max(abs(float(target_a)), abs(float(target_b)), 1e-30)
-        d += min(abs(float(target_a) - float(target_b)) / scale, 1.0) * 0.25
-    elif target_a != target_b:
-        d += 0.25
-    return d

@@ -95,12 +95,6 @@ class MinfloOptions:
     #: simplex), "scipy" (HiGHS) or "auto" (picks by LP size).
     flow_backend: str = "auto"
     tilos: TilosOptions = TilosOptions()
-    #: Warm-start corpus to probe for the TILOS seed: a cache backend
-    #: spec (``disk:…`` / ``sqlite:…`` / ``tiered:…``) or directory
-    #: path (see :mod:`repro.runner.corpus`).  Execution strategy, not
-    #: result identity — it never enters cache keys, and seeded runs
-    #: return bitwise-identical sizes to cold ones.
-    warm_corpus: str | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= self.alpha_max:
@@ -117,44 +111,18 @@ def minflotransit(
     target: float,
     options: MinfloOptions | None = None,
     x0: np.ndarray | None = None,
-    warm: dict | None = None,
 ) -> SizingResult:
     """Size ``dag`` to meet ``target`` with minimum area.
 
     ``x0`` overrides the TILOS seed (it must already meet the target).
     Raises :class:`InfeasibleTimingError` when no feasible start exists.
-
-    ``warm`` optionally carries a corpus record for the TILOS seed
-    (forwarded to :func:`~repro.sizing.tilos.tilos_size`, which owns
-    the divergence-safe replay); when it is absent but
-    ``options.warm_corpus`` names a corpus, the record is retrieved
-    here.  Either way the seed — and therefore the W/D iteration and
-    the final sizes — is bitwise-identical to a cold run.
     """
     options = options or MinfloOptions()
     timer = GraphTimer(dag)
     start = time.perf_counter()
 
     if x0 is None:
-        if warm is None and options.warm_corpus is not None:
-            # Imported lazily: runner.spec imports this module at load
-            # time, and the corpus lives on the runner side.
-            from repro.runner.corpus import WarmSession
-            from repro.tech import default_technology
-
-            session = WarmSession.open(options.warm_corpus)
-            if session is not None:
-                with span("warmstart.probe", circuit=dag.name) as probe:
-                    warm = session.probe_sizing(
-                        dag=dag,
-                        tech=default_technology(),
-                        mode=dag.mode,
-                        options=options.tilos,
-                        delay_spec=None,
-                        target=target,
-                    )
-                    probe.set(hit=warm is not None)
-        seed = tilos_size(dag, target, options.tilos, warm=warm)
+        seed = tilos_size(dag, target, options.tilos)
         if not seed.feasible:
             raise InfeasibleTimingError(
                 f"target {target:.6g} unreachable: TILOS stalled at "

@@ -82,10 +82,11 @@ class TilosResult:
     #: scoring, ``refresh_seconds`` for post-bump delay updates).
     timing_stats: dict = field(default_factory=dict)
     #: Vertices bumped at each iteration, recorded alongside ``trace``
-    #: when ``keep_trace`` is on — the trajectory the warm-start corpus
-    #: stores and :func:`tilos_size` can replay.
+    #: when ``keep_trace`` is on — the trajectory
+    #: :mod:`repro.runner.trajectory` stores and :func:`tilos_size` can
+    #: replay.
     bumps: list[list[int]] | None = None
-    #: Warm-start telemetry, set only when a donor record was offered:
+    #: Replay outcome, set only when a trajectory record was offered:
     #: ``result`` ("seeded" or "fallback"), ``replayed`` (bumps
     #: fast-forwarded) and, on fallback, the ``reason``.
     warm: dict | None = None
@@ -105,11 +106,11 @@ def tilos_size(
     cannot be reached — callers that require success should check or
     use :func:`require_feasible`.
 
-    ``warm`` optionally carries a corpus record (see
-    :mod:`repro.runner.corpus`) with a previously recorded trajectory
-    for the *same* instance at a possibly different target.  The greedy
+    ``warm`` optionally carries a trajectory record (see
+    :mod:`repro.runner.trajectory`) previously recorded for the *same*
+    instance at a possibly different target.  The greedy
     bump choice depends only on the current state — the target merely
-    decides where the loop stops — so a donor trajectory can be
+    decides where the loop stops — so a recorded trajectory can be
     fast-forwarded exactly: replay the recorded bumps up to the first
     point whose recorded delay meets the new target, using the
     identical arithmetic as the cold loop, then resume the loop from
@@ -152,9 +153,9 @@ def tilos_size(
             warm_bumps = warm["data"]["bumps"]
             warm_trace = warm["data"]["trace"]
             # First recorded point that already meets the new target —
-            # replay exactly that many bumps (the donor's own stopping
-            # point when no recorded delay is small enough), bounded by
-            # the iteration cap the cold loop would hit first.
+            # replay exactly that many bumps (the recorded run's own
+            # stopping point when no recorded delay is small enough),
+            # bounded by the iteration cap the cold loop would hit first.
             j = len(warm_bumps)
             for i, cp_i in enumerate(warm_trace):
                 if cp_i <= target:

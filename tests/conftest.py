@@ -4,7 +4,7 @@ Markers (registered in ``pyproject.toml``):
 
 * ``slow`` — end-to-end smokes that spawn real subprocesses, drive
   multi-replica fleets, or run full campaign sweeps (example scripts,
-  ``serve`` processes, parallel warm-corpus parity).  The default
+  ``serve`` processes, parallel warm-start parity).  The default
   tier-1 invocation (``PYTHONPATH=src python -m pytest -x -q``) runs
   them; ``-m "not slow"`` is the fast feedback lane and what the CI
   bench-smoke lanes use while the heavyweight jobs cover the rest.

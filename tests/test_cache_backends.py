@@ -57,6 +57,11 @@ class TestBackendContract:
         assert disk.describe() == f"disk:{tmp_path / 'disk'}"
         assert sqlite_b.describe() == f"sqlite:{tmp_path / 'store.db'}"
         assert tiered.describe().startswith("tiered:disk:")
+        # Process-pool workers reopen the job's cache from its
+        # description, so every description must round-trip.
+        for backend in (disk, sqlite_b, tiered):
+            reopened = open_backend(backend.describe())
+            assert reopened.describe() == backend.describe()
 
 
 class TestDiskQuarantine:

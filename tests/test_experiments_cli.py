@@ -183,10 +183,14 @@ class TestCli:
         ["campaign", "resume", "runs/none", "--batch"],
         ["serve", "--batch-drain", "2"],
         ["size", "c17", "--spec", "0.6", "--kernel", "scalar"],
+        ["campaign", "run", "--circuits", "c17", "--warm-corpus"],
+        ["campaign", "resume", "runs/none", "--warm-corpus"],
+        ["serve", "--warm-corpus"],
     ])
     def test_removed_options_are_usage_errors(self, capsys, command):
-        """The batched ``wphase`` kind and the engine selectors are gone:
-        asking for them is a parse-time usage error, before any solve."""
+        """The batched ``wphase`` kind, the engine selectors and the
+        warm-corpus switch are gone: asking for them is a parse-time
+        usage error, before any solve."""
         from repro.__main__ import main
 
         assert main(command) == 2

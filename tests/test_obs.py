@@ -330,23 +330,15 @@ def _exposed_series(text: str, family: str) -> dict[tuple, float]:
 class TestStatsMetricsConsistency:
     """``/v1/stats`` is a *view* over the same registry cells the
     ``/v1/metrics`` exposition serializes — the two endpoints can never
-    disagree.  Pinned here for the per-backend flow stats and the
-    warm-start corpus totals."""
+    disagree.  Pinned here for the per-backend flow stats."""
 
-    def test_flow_and_warmstart_views_match_exposition(self, tmp_path):
-        from repro.runner.corpus import warmstart_counts
+    def test_flow_views_match_exposition(self, tmp_path):
         from repro.service import SizingService
 
-        before = warmstart_counts()
-        service = SizingService(
-            jobs=1,
-            cache=tmp_path / "cache",
-            run_dir=None,
-            warm_corpus=f"disk:{tmp_path / 'cache'}",
-        )
+        service = SizingService(jobs=1, cache=tmp_path / "cache", run_dir=None)
         try:
-            # Two drifting targets: the first is a corpus miss, the
-            # second probes the first's record.
+            # Two drifting targets: the second replays the first's
+            # TILOS trajectory.
             service.size_sync({"circuit": "rca:6", "delay_spec": 0.9})
             service.size_sync({"circuit": "rca:6", "delay_spec": 0.85})
             stats = service.stats()
@@ -366,16 +358,8 @@ class TestStatsMetricsConsistency:
             for field_name, value in fields.items()
         }
         assert stats_flow == exposed_flow
-
-        warm = stats["warmstart"]
-        delta = {
-            key: warm.get(key, 0) - before.get(key, 0) for key in warm
-        }
-        assert delta.get("miss", 0) >= 1  # first job probed an empty corpus
-        assert delta.get("seeded", 0) + delta.get("fallback", 0) >= 1
-        exposed_warm = _exposed_series(text, "repro_warmstart_total")
-        stats_warm = {
-            (("result", result),): float(count)
-            for result, count in warm.items()
-        }
-        assert stats_warm == exposed_warm
+        # Spans are the one warm-start telemetry channel (``replayed``
+        # on ``tilos.seed``): no counter, stats entry or option remains.
+        assert "warmstart" not in stats
+        assert "warm_corpus" not in stats["executor"]
+        assert "repro_warmstart_total" not in text

@@ -10,8 +10,8 @@ Random circuits and sizings exercise:
 * scale invariance of sizing decisions,
 * cache-key invariance under job reordering,
 * serialize round-trip identity on schema-v2 payloads,
-* warm-start fingerprints invariant under relabeling, and retrieval
-  distance symmetric and zero exactly on identical (circuit, options).
+* the structural digest deterministic, and TILOS trajectories on one
+  instance prefixes of each other (what trajectory warm starts rest on).
 """
 
 import json
@@ -22,20 +22,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.balancing import balance, verify_configuration
-from repro.circuit import Circuit
+from repro.circuit.mapping import map_to_primitives
 from repro.dag import build_sizing_dag
 from repro.flow import BACKENDS, DifferenceConstraintLP, solve_difference_lp
 from repro.generators import random_logic
 from repro.runner.cache import job_key
-from repro.runner.corpus import WarmSession
 from repro.runner.executor import campaign_keys
-from repro.runner.spec import Job
-from repro.sizing import w_phase
-from repro.sizing.fingerprint import (
-    dag_digest,
-    dag_features,
-    fingerprint_distance,
-)
+from repro.runner.spec import Job, resolve_circuit
+from repro.sizing import TilosOptions, tilos_size, w_phase
+from repro.sizing.fingerprint import dag_digest
 from repro.sizing.result import IterationRecord, SizingResult
 from repro.sizing.serialize import (
     VOLATILE_PAYLOAD_KEYS,
@@ -254,7 +249,7 @@ class TestCacheKeyProperties:
 
 @st.composite
 def small_circuits(draw):
-    """Random netlists (not yet DAGs) so tests can relabel them."""
+    """Random netlists (not yet DAGs)."""
     n_gates = draw(st.integers(min_value=4, max_value=30))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     locality = draw(st.sampled_from([4, 12, 48]))
@@ -263,102 +258,57 @@ def small_circuits(draw):
     )
 
 
-def _relabeled(circuit: Circuit, seed: int) -> Circuit:
-    """Isomorphic copy: fresh net/gate names, permuted insertion order."""
-    rng = np.random.default_rng(seed)
-    nets = list(circuit.inputs) + [g.output for g in circuit.gates]
-    net_map = {
-        net: f"net{int(k)}" for net, k in zip(nets, rng.permutation(len(nets)))
-    }
-    gates = list(circuit.gates)
-    clone = Circuit(circuit.name + "-relabeled", library=circuit.library)
-    for net in circuit.inputs:
-        clone.add_input(net_map[net])
-    for i in rng.permutation(len(gates)):
-        gate = gates[int(i)]
-        clone.add_gate(
-            f"inst{int(i)}",
-            gate.cell,
-            [net_map[n] for n in gate.inputs],
-            net_map[gate.output],
-        )
-    for net in circuit.outputs:
-        clone.mark_output(net_map[net])
-    return clone.freeze()
-
-
-@st.composite
-def corpus_queries(draw):
-    """Corpus query records over random circuits, the exact dict shape
-    the warm-start retrieval ranks (``WarmSession._build_query``)."""
-    dag = build_sizing_dag(draw(small_circuits()), _TECH, mode="gate")
-    options = {
-        "bump": draw(st.sampled_from([1.05, 1.1, 1.2])),
-        "batch": draw(st.sampled_from([1, 4])),
-    }
-    delay_spec = draw(st.sampled_from([0.6, 0.8, 0.9, None]))
-    target = draw(st.sampled_from([1.0, 2.5, None]))
-    return WarmSession(None)._build_query(
-        "sizing", dag=dag, tech=_TECH, mode="gate", options=options,
-        delay_spec=delay_spec, target=target,
-    )
-
-
 class TestFingerprintProperties:
-    """The warm-start corpus contracts from ISSUE: features invariant
-    under node relabeling and insertion order; retrieval distance
-    symmetric and zero exactly on identical (circuit, options) pairs."""
-
-    @given(small_circuits(), st.integers(min_value=0, max_value=9999))
-    @settings(**_SETTINGS)
-    def test_features_invariant_under_relabeling(self, circuit, seed):
-        dag = build_sizing_dag(circuit, _TECH, mode="gate")
-        relabeled = build_sizing_dag(
-            _relabeled(circuit, seed), _TECH, mode="gate"
-        )
-        assert dag_features(relabeled) == dag_features(dag)
+    """The structural digest that keys trajectory records and gates
+    their replay."""
 
     @given(small_circuits())
     @settings(**_SETTINGS)
-    def test_digest_and_features_deterministic(self, circuit):
-        """Rebuilding the DAG from the same netlist reproduces both
-        identity levels exactly (what makes cache rows comparable
-        across processes)."""
+    def test_digest_deterministic(self, circuit):
+        """Rebuilding the DAG from the same netlist reproduces the
+        digest exactly (what makes trajectory records usable across
+        processes)."""
         dag1 = build_sizing_dag(circuit, _TECH, mode="gate")
         dag2 = build_sizing_dag(circuit, _TECH, mode="gate")
         assert dag_digest(dag1) == dag_digest(dag2)
-        assert dag_features(dag1) == dag_features(dag2)
 
-    @given(corpus_queries(), corpus_queries())
-    @settings(**_SETTINGS)
-    def test_distance_symmetric(self, a, b):
-        d = fingerprint_distance(a, b)
-        assert d >= 0.0
-        assert fingerprint_distance(b, a) == d
 
-    @given(corpus_queries(), st.integers(min_value=0, max_value=9999))
+def _assert_prefix(dag, loose: float, tight: float, batch: int) -> None:
+    """The loose target's TILOS run is a prefix of the tight one's."""
+    timer = GraphTimer(dag)
+    d_min = timer.analyze(dag.delays(dag.min_sizes())).critical_path_delay
+    options = TilosOptions(batch=batch)
+    short = tilos_size(dag, loose * d_min, options, keep_trace=True)
+    long = tilos_size(dag, tight * d_min, options, keep_trace=True)
+    n = len(short.bumps)
+    assert long.bumps[:n] == short.bumps
+    assert long.trace[: n + 1] == short.trace
+
+
+class TestTrajectoryPrefix:
+    """All TILOS runs on one instance are prefixes of one trajectory:
+    the bump choice reads the sizes, never the target.  The trajectory
+    store rests on this (the longest stored record serves every
+    target).  A target-aware bump choice would break it without the
+    replay's own delay check noticing, because that check compares
+    against the recorded delays."""
+
+    @given(
+        small_circuits(),
+        st.sampled_from([0.95, 0.85, 0.75]),
+        st.sampled_from([0.65, 0.55, 0.45]),
+        st.sampled_from([1, 3]),
+    )
     @settings(**_SETTINGS)
-    def test_distance_zero_iff_identical_pair(self, query, seed):
-        clone = json.loads(json.dumps(query))
-        assert fingerprint_distance(query, clone) == 0.0
-        # Any perturbation of the (circuit, options) identity moves the
-        # distance strictly off zero...
-        other_options = dict(query["options"], bump=9.9)
-        assert fingerprint_distance(
-            query, dict(clone, options=other_options)
-        ) > 0.0
-        assert fingerprint_distance(query, dict(clone, kind="phases")) > 0.0
-        assert fingerprint_distance(query, dict(clone, tech="other")) > 0.0
-        spec = query["delay_spec"]
-        bumped_spec = 0.7 if spec is None else spec + 0.05
-        assert fingerprint_distance(
-            query, dict(clone, delay_spec=bumped_spec)
-        ) > 0.0
-        # ...and a different circuit identity costs >= 1, so an exact
-        # repeat always outranks cross-circuit transfer.
-        assert fingerprint_distance(
-            query, dict(clone, dag_sha="0" * 64)
-        ) >= 1.0
+    def test_loose_run_prefixes_tight_run(self, circuit, loose, tight, batch):
+        dag = build_sizing_dag(circuit, _TECH, mode="gate")
+        _assert_prefix(dag, loose, tight, batch)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_transistor_mode_prefix(self, batch):
+        circuit = map_to_primitives(resolve_circuit("rca:4"), suffix="")
+        dag = build_sizing_dag(circuit, _TECH, mode="transistor")
+        _assert_prefix(dag, 0.9, 0.6, batch)
 
 
 _FINITE = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)

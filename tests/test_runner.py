@@ -340,11 +340,11 @@ class TestResume:
         real = _EXECUTORS["sizing"]
         seen = []
 
-        def interrupt_second(job):
+        def interrupt_second(job, **kwargs):
             seen.append(job)
             if len(seen) == 2:
                 raise KeyboardInterrupt
-            return real(job)
+            return real(job, **kwargs)
 
         monkeypatch.setitem(_EXECUTORS, "sizing", interrupt_second)
         with pytest.raises(KeyboardInterrupt):

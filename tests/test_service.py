@@ -354,6 +354,44 @@ class TestRemovedKind:
         assert [job["id"] for job in failed] == [stale.id]
         assert "unknown job kind 'wphase'" in failed[0]["error"]
 
+    def test_parent_queue_with_warm_column_drains(self, tmp_path):
+        """A ``queue.db`` whose rows carry the retired ``warm`` column
+        opens: its finished row still reads, its queued job drains, and
+        no record reports ``warm`` any more."""
+        db = tmp_path / "run" / "queue.db"
+        old = WorkQueue(db)
+        finished = old.create(Job(circuit="rca:4", delay_spec=0.9), None)
+        queued = old.create(Job(circuit="c17", delay_spec=0.6), None)
+        old.close()
+        with closing(sqlite3.connect(db)) as conn, conn:
+            conn.execute("ALTER TABLE jobs ADD COLUMN warm TEXT")
+            conn.execute(
+                "UPDATE jobs SET status = 'ok', finished_at = created_at, "
+                "warm = ? WHERE id = ?",
+                (json.dumps({"hit": True, "seeded": True, "fallback": False}),
+                 finished.id),
+            )
+
+        service = SizingService(jobs=1, cache=None, run_dir=tmp_path / "run")
+        try:
+            record = queued
+            deadline = time.monotonic() + 60.0
+            while not record.done and time.monotonic() < deadline:
+                record = service.store.wait(record.id, record.status, 5.0)
+            earlier = service.store.get(finished.id)
+        finally:
+            service.close()
+        assert record.status == "ok" and earlier.status == "ok"
+        assert "warm" not in record.to_wire()
+        assert "warm" not in earlier.to_wire()
+
+    def test_client_takes_no_kind(self, live):
+        """The client has no ``kind=``: the service runs sizing jobs
+        only.  The server still validates a request body's ``kind``
+        (``TestErrors``)."""
+        for call in (live.client.size, live.client.submit):
+            with pytest.raises(TypeError, match="kind"):
+                call(circuit="c17", delay_spec=0.6, kind="sizing")
 
     def test_no_batch_drain_surface(self, live, tmp_path):
         """The service drains one record per round: no ``batch_drain``

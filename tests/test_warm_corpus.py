@@ -1,34 +1,47 @@
-"""Differential tests for the warm-start corpus (PR 9 tentpole).
+"""Differential tests for TILOS warm starts from trajectory records.
 
-The contract under test is absolute: with the corpus on, every job's
-payload is byte-identical (modulo volatile wall-clock keys) to a cold
-run — seeding only changes how much work the solver does, never what
-it returns.  The suite drives the real executors end to end:
+Every executed sizing job that has a result cache seeds TILOS from its
+instance's trajectory record (:mod:`repro.runner.trajectory`) and
+writes its own trajectory back when it got further.  The contract is
+absolute: every payload is byte-identical (modulo volatile wall-clock
+keys) to a cold run — seeding only changes how much work TILOS does,
+never what it returns.  The suite drives the real executors end to end:
 
 * seeded-vs-cold parity over drifting-spec sweeps (plus a tier-preset
-  circuit at its paper spec),
-* forced divergence: a poisoned donor trajectory (valid checksum,
-  wrong bumps) must fall back to a bitwise cold result,
-* corrupt / version-mismatched warm records are quarantined like PR 6
-  cache entries — stripped, counted, payload untouched,
-* parallel ``jobs=N`` equals serial byte-for-byte with warm on.
+  circuit at its paper spec), on every cache backend,
+* the drift sweep's exact TILOS iteration and replay counts,
+* forced divergence: a tampered record (valid checksum, redirected
+  bump) must fall back to a bitwise cold result,
+* records that cannot seed (another version, a failed checksum, not a
+  mapping, an unreadable store) count as absent and are replaced by
+  the job's own trajectory, while result entries stay intact,
+* the hit path: one backend read, entries without a trajectory, and
+  entries written with the retired embedded ``warm`` record still hit,
+* parallel ``jobs=N`` equals serial byte-for-byte.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.dag import build_sizing_dag
-from repro.runner.cache import ResultCache
-from repro.runner.corpus import (
-    WarmCorpus,
-    WarmSession,
-    record_checksum,
-)
+from repro.faults.injector import install, uninstall
+from repro.obs.trace import SpanSink, trace_scope
+from repro.runner import CampaignSpec, run
+from repro.runner.cache import CACHE_LAYOUT_VERSION, ResultCache
 from repro.runner.executor import run_campaign, run_one
 from repro.runner.spec import Job, resolve_circuit, tier_preset
+from repro.runner.trajectory import (
+    TRAJECTORY_VERSION,
+    record_checksum,
+    seeded_tilos,
+    trajectory_key,
+)
+from repro.sizing import TilosOptions, tilos_size
 from repro.sizing.serialize import canonical_json, comparable_payload
 from repro.tech import default_technology
+from repro.timing import GraphTimer
 
 
 def _comparable(outcome) -> str:
@@ -36,17 +49,30 @@ def _comparable(outcome) -> str:
     return canonical_json(comparable_payload(outcome.payload))
 
 
-def _rewrite_warm(cache: ResultCache, key: str, record) -> None:
-    """Replace the warm record of ``key`` without touching the payload
-    (and without the checksum hygiene of the normal write path)."""
-    entry = cache.backend.get(key)
-    entry["warm"] = record
-    cache.backend.put(key, entry)
+def _dag(job: Job):
+    return build_sizing_dag(
+        resolve_circuit(job.circuit), default_technology(), mode=job.mode
+    )
 
 
-# Drifting-target sweeps: earlier jobs populate the corpus the later
-# ones retrieve from.  Specs stay < 1.0 — a spec >= 1.0 is met at
-# minimum sizes with zero iterations, which would test nothing.
+def _key(job: Job) -> str:
+    return trajectory_key(_dag(job), TilosOptions())
+
+
+def _traced(job: Job, cache) -> tuple:
+    """``run_one`` inside a trace; returns the outcome and the attrs of
+    its ``tilos.seed`` span."""
+    sink = SpanSink()
+    with trace_scope(sink=sink):
+        outcome = run_one(job, cache)
+    seeds = [r["attrs"] for r in sink.drain() if r["name"] == "tilos.seed"]
+    assert len(seeds) == (0 if outcome.cached else 1)
+    return outcome, (seeds[0] if seeds else None)
+
+
+# Drifting-target sweeps: earlier jobs store the trajectory the later
+# ones replay.  Specs stay < 1.0 — a spec >= 1.0 is met at minimum
+# sizes with zero iterations, which would test nothing.
 _SWEEPS = {
     "sizing-drift": [Job("rca:8", s) for s in (0.95, 0.90, 0.85)],
     "sizing-mixed": [
@@ -57,167 +83,236 @@ _SWEEPS = {
 }
 
 
+def _backend_spec(tmp_path, scheme: str) -> str:
+    if scheme == "disk":
+        return f"disk:{tmp_path / 'cache'}"
+    if scheme == "sqlite":
+        return f"sqlite:{tmp_path / 'cache.db'}"
+    return f"tiered:{tmp_path / 'l1'},sqlite:{tmp_path / 'l2.db'}"
+
+
 class TestSeededColdParity:
     @pytest.mark.parametrize("sweep", sorted(_SWEEPS))
     def test_drifting_sweep_matches_cold(self, tmp_path, sweep):
         jobs = _SWEEPS[sweep]
         cold = [run_one(job, cache=None) for job in jobs]
-        cache = ResultCache(tmp_path / "corpus")
-        spec = f"disk:{tmp_path / 'corpus'}"
-        warm = [run_one(job, cache, warm=spec) for job in jobs]
-        for cold_out, warm_out in zip(cold, warm):
+        cache = ResultCache(tmp_path / "cache")
+        warm = [_traced(job, cache) for job in jobs]
+        for cold_out, (warm_out, _) in zip(cold, warm):
             assert _comparable(warm_out) == _comparable(cold_out)
         # The sweep genuinely exercised seeding (not vacuous parity):
-        # the first job is a cold miss, every later one finds a donor.
-        assert not warm[0].warm_hit
-        assert all(out.warm_hit for out in warm[1:])
-        assert any(out.warm_seeded for out in warm[1:])
+        # the first job of each instance runs cold, every later one
+        # replays the trajectory its predecessor stored.
+        seen: set[str] = set()
+        for job, (_, seed) in zip(jobs, warm):
+            if job.circuit in seen:
+                assert seed["replayed"] > 0
+            else:
+                assert seed["replayed"] == 0
+            assert "rejected" not in seed
+            seen.add(job.circuit)
+
+    @pytest.mark.parametrize("scheme", ["disk", "sqlite", "tiered"])
+    def test_default_run_seeds_on_every_backend(self, tmp_path, scheme):
+        """``repro.runner.run`` with a cache and no flag seeds: the
+        second of two same-circuit jobs replays on its ``tilos.seed``
+        span, and its payload equals a ``cache=None`` run's."""
+        spec = _backend_spec(tmp_path, scheme)
+        jobs = [Job("rca:8", 0.9), Job("rca:8", 0.8)]
+        outcomes = []
+        for index, job in enumerate(jobs):
+            campaign = CampaignSpec(
+                name=f"j{index}", circuits=(job.circuit,),
+                delay_specs=(job.delay_spec,),
+            )
+            result = run(campaign, cache=spec, run_dir=tmp_path / f"r{index}")
+            outcomes += result.outcomes
+        spans = [
+            json.loads(line)
+            for line in (tmp_path / "r1" / "trace.jsonl").read_text().splitlines()
+        ]
+        seeds = [s["attrs"] for s in spans if s["name"] == "tilos.seed"]
+        assert len(seeds) == 1 and seeds[0]["replayed"] > 0
+        for job, outcome in zip(jobs, outcomes):
+            assert _comparable(outcome) == _comparable(run_one(job, cache=None))
+        # Results only: the trajectory record shares the backend but
+        # not the result cache's key space.
+        assert len(ResultCache(spec)) == 2
 
     @pytest.mark.slow
     def test_tier_preset_circuit_matches_cold(self, tmp_path):
-        """A real Table-1 circuit at its paper delay spec: re-running a
-        drifted target against the first run's corpus record stays
-        bitwise cold."""
+        """A real Table-1 circuit at its paper delay spec: a drifted
+        target seeded from the first run's trajectory stays bitwise
+        cold."""
         base = tier_preset("smoke").jobs()[0]
         jobs = [base, Job(base.circuit, base.delay_spec * 0.95)]
         cold = [run_one(job, cache=None) for job in jobs]
-        cache = ResultCache(tmp_path / "corpus")
-        warm = [
-            run_one(job, cache, warm=f"disk:{tmp_path / 'corpus'}")
-            for job in jobs
-        ]
-        for cold_out, warm_out in zip(cold, warm):
+        cache = ResultCache(tmp_path / "cache")
+        warm = [_traced(job, cache) for job in jobs]
+        for cold_out, (warm_out, _) in zip(cold, warm):
             assert _comparable(warm_out) == _comparable(cold_out)
-        assert warm[1].warm_hit
+        assert warm[1][1]["replayed"] > 0
+
+
+class TestDriftSweepCounts:
+    """The drift sweep through one store, at TILOS level: exact
+    iteration and replay counts, sizes bitwise equal to cold runs."""
+
+    SPECS = (0.96, 0.94, 0.92, 0.90, 0.88)
+
+    @pytest.mark.parametrize("circuit, iterations, replayed", [
+        ("c432eq", [7, 11, 15, 23, 31], [0, 7, 11, 15, 23]),
+        ("c499eq", [23, 89, 130, 175, 253], [0, 23, 89, 130, 175]),
+        ("rca:64", [59, 91, 125, 167, 210], [0, 59, 91, 125, 167]),
+    ])
+    def test_counts_and_parity(self, tmp_path, circuit, iterations, replayed):
+        dag = _dag(Job(circuit, 0.9))
+        d_min = GraphTimer(dag).analyze(
+            dag.delays(dag.min_sizes())
+        ).critical_path_delay
+        cache = ResultCache(tmp_path / "cache")
+        runs = []
+        for spec in self.SPECS:
+            seed, rejected = seeded_tilos(dag, spec * d_min, cache)
+            assert rejected is None
+            cold = tilos_size(dag, spec * d_min, keep_trace=True)
+            assert np.array_equal(seed.x, cold.x)
+            assert seed.trace == cold.trace and seed.bumps == cold.bumps
+            runs.append(seed)
+        assert [run.iterations for run in runs] == iterations
+        assert [(run.warm or {}).get("replayed", 0) for run in runs] \
+            == replayed
 
 
 class TestDivergenceFallback:
     def test_poisoned_trajectory_falls_back_to_cold(self, tmp_path):
         donor = Job("rca:8", 0.92)
         target = Job("rca:8", 0.88)
-        cache = ResultCache(tmp_path / "corpus")
-        spec = f"disk:{tmp_path / 'corpus'}"
-        donor_out = run_one(donor, cache, warm=spec)
-        record = cache.get_warm(donor_out.key)
+        cache = ResultCache(tmp_path / "cache")
+        run_one(donor, cache)
+        key = _key(donor)
+        record = cache.backend.get(key)
         assert record is not None and record["data"]["bumps"]
         # Redirect the first bump to a different vertex but recompute
-        # the checksum: the record passes verification and reaches the
-        # replay monitor, which must catch the diverging delay trace.
+        # the checksum: the record passes the store's checks and
+        # reaches the replay monitor, which must catch the diverging
+        # delay trace.
         first = record["data"]["bumps"][0]
         record["data"]["bumps"][0] = [1 if first[0] == 0 else 0]
         record["checksum"] = record_checksum(record)
-        _rewrite_warm(cache, donor_out.key, record)
+        cache.backend.put(key, record)
 
         cold = run_one(target, cache=None)
-        warm = run_one(target, cache, warm=spec)
-        assert warm.warm_hit and warm.warm_fallback and not warm.warm_seeded
+        warm, seed = _traced(target, cache)
+        assert seed["replayed"] == 0
+        assert seed["rejected"] == "replayed delay trace diverged"
         assert _comparable(warm) == _comparable(cold)
+        # The job's own trajectory replaced the tampered record.
+        assert cache.backend.get(key)["data"]["bumps"][0] == first
 
 
 class TestQuarantine:
-    def _seed_corpus(self, cache, spec):
-        """Two donor entries with staged warm records; returns keys."""
-        outs = [
-            run_one(Job("rca:6", 0.92), cache, warm=spec),
-            run_one(Job("rca:6", 0.88), cache, warm=spec),
-        ]
-        return [out.key for out in outs]
-
-    def _query_for(self, job: Job) -> dict:
-        from dataclasses import asdict
-
-        from repro.sizing import TilosOptions
-
-        dag = build_sizing_dag(
-            resolve_circuit(job.circuit), default_technology(), mode=job.mode
-        )
-        return WarmSession(None)._build_query(
-            "sizing",
-            dag=dag,
-            tech=default_technology(),
-            mode=job.mode,
-            options=asdict(TilosOptions()),
-            delay_spec=job.delay_spec,
-            target=1.0,
-        )
+    """Records that cannot seed count as absent: the job runs cold and
+    its own trajectory replaces them; result entries stay intact."""
 
     def test_corrupt_rows_quarantined_payload_survives(self, tmp_path):
-        cache = ResultCache(tmp_path / "corpus")
-        spec = f"disk:{tmp_path / 'corpus'}"
-        k1, k2 = self._seed_corpus(cache, spec)
-        payloads = {k: cache.get(k) for k in (k1, k2)}
+        cache = ResultCache(tmp_path / "cache")
+        donors = [Job("rca:6", 0.92), Job("rca:8", 0.92)]
+        payloads = {}
+        for job in donors:
+            out = run_one(job, cache)
+            payloads[out.key] = out.payload
+        k6, k8 = _key(donors[0]), _key(donors[1])
+        # rca:6: a record of another version (checksum recomputed).
+        r6 = cache.backend.get(k6)
+        r6["version"] = 99
+        r6["checksum"] = record_checksum(r6)
+        cache.backend.put(k6, r6)
+        # rca:8: tampered data under a stale checksum.
+        r8 = cache.backend.get(k8)
+        r8["data"]["trace"][0] += 1.0
+        cache.backend.put(k8, r8)
 
-        # k1: version-mismatched row — rejected at index time.
-        r1 = cache.get_warm(k1)
-        r1["version"] = 99
-        _rewrite_warm(cache, k1, r1)
-        # k2: tampered data under a stale checksum — passes the cheap
-        # index-time validation, fails full verification at fetch time.
-        r2 = cache.get_warm(k2)
-        r2["data"]["trace"][0] += 1.0
-        _rewrite_warm(cache, k2, r2)
-
-        corpus = WarmCorpus(ResultCache(tmp_path / "corpus"))
-        record, info = corpus.probe(self._query_for(Job("rca:6", 0.9)))
-        assert record is None
-        assert info["quarantined"] == 2
-        # Quarantine strips the warm record but never the payload —
-        # exactly how PR 6 treats corrupt cache entries.
-        for key in (k1, k2):
-            assert cache.get_warm(key) is None
-            assert cache.get(key) == payloads[key]
-
-    def test_parent_records_stripped_by_refresh(self, tmp_path):
-        """Records written before the W-phase kind and the TILOS
-        engine/kernel options went away — a ``wphase`` seed and a
-        version-1 sizing record whose options carry ``engine`` and
-        ``kernel`` — are stripped when the index first sees them; the
-        payloads they rode with stay intact."""
-        cache = ResultCache(tmp_path / "corpus")
-        spec = f"disk:{tmp_path / 'corpus'}"
-        k1, k2 = self._seed_corpus(cache, spec)
-        payloads = {k: cache.get(k) for k in (k1, k2)}
-
-        sizing = cache.get_warm(k1)
-        wphase = {
-            key: sizing[key]
-            for key in ("fingerprint", "mode", "tech", "netlist_sha256",
-                        "dag_sha", "features")
-        }
-        n = len(payloads[k1]["result"]["x"])
-        wphase.update(
-            version=1, kind="wphase", options={"engine": "vectorized"},
-            delay_spec=0.92, target=None,
-            data={"x": [1.0] * n, "budgets": [50.0] * n},
-        )
-        wphase["checksum"] = record_checksum(wphase)
-        _rewrite_warm(cache, k1, wphase)
-        old_sizing = cache.get_warm(k2)
-        old_sizing["version"] = 1
-        old_sizing["options"] = dict(
-            old_sizing["options"], engine="incremental", kernel="vectorized"
-        )
-        old_sizing["checksum"] = record_checksum(old_sizing)
-        _rewrite_warm(cache, k2, old_sizing)
-
-        corpus = WarmCorpus(ResultCache(tmp_path / "corpus"))
-        corpus.refresh()
-        assert len(corpus) == 0
-        for key in (k1, k2):
-            assert cache.get_warm(key) is None
-            assert cache.get(key) == payloads[key]
+        for job, reason in (
+            (Job("rca:6", 0.88), "record version 99"),
+            (Job("rca:8", 0.88), "checksum mismatch"),
+        ):
+            warm, seed = _traced(job, cache)
+            assert (seed["replayed"], seed["rejected"]) == (0, reason)
+            assert _comparable(warm) == _comparable(run_one(job, cache=None))
+        for key in (k6, k8):
+            record = cache.backend.get(key)
+            assert record["version"] == TRAJECTORY_VERSION
+            assert record["checksum"] == record_checksum(record)
+        for key, payload in payloads.items():
+            assert cache.get(key) == payload
 
     def test_non_dict_warm_record_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path / "corpus")
-        spec = f"disk:{tmp_path / 'corpus'}"
-        (k1, _) = self._seed_corpus(cache, spec)
-        _rewrite_warm(cache, k1, json.loads('["not", "a", "record"]'))
-        corpus = WarmCorpus(ResultCache(tmp_path / "corpus"))
-        record, info = corpus.probe(self._query_for(Job("rca:6", 0.9)))
-        # The intact sibling record still wins the probe.
-        assert record is not None
-        assert info["quarantined"] >= 0  # non-dict warm reads as absent
-        assert cache.get(k1) is not None
+        cache = ResultCache(tmp_path / "cache")
+        job = Job("rca:6", 0.9)
+        key = _key(job)
+        cache.backend.put(key, json.loads('["not", "a", "record"]'))
+        warm, seed = _traced(job, cache)
+        assert seed["replayed"] == 0 and "rejected" not in seed
+        assert _comparable(warm) == _comparable(run_one(job, cache=None))
+        assert cache.backend.get(key)["version"] == TRAJECTORY_VERSION
+
+    def test_unreadable_record_runs_cold(self, tmp_path):
+        """An injected ``cache.get`` I/O error on the trajectory read
+        leaves the job cold and ``ok``; its trajectory is written."""
+        cache = ResultCache(tmp_path / "cache")
+        donor, job = Job("rca:8", 0.92), Job("rca:8", 0.88)
+        run_one(donor, cache)
+        key = _key(job)
+        stored = len(cache.backend.get(key)["data"]["bumps"])
+        install("cache.get:io_error@1", propagate=False)
+        try:
+            warm, seed = _traced(job, cache)
+        finally:
+            uninstall()
+        assert warm.status == "ok" and not warm.cached
+        assert seed["replayed"] == 0 and "rejected" not in seed
+        assert _comparable(warm) == _comparable(run_one(job, cache=None))
+        assert len(cache.backend.get(key)["data"]["bumps"]) > stored
+
+    def test_parent_warm_entries_still_hit(self, tmp_path):
+        """A cache entry written with an embedded ``warm`` corpus record
+        (the retired layout) still hits with the same payload."""
+        cache = ResultCache(tmp_path / "cache")
+        job = Job("rca:6", 0.9)
+        first = run_one(job, cache)
+        entry = cache.backend.get(first.key)
+        entry["warm"] = {
+            "version": 2, "fingerprint": 1, "kind": "sizing", "mode": "gate",
+            "dag_sha": "0" * 64, "features": {"n": 1},
+            "data": {"d_min": 1.0, "bumps": [[0]], "trace": [2.0, 1.0]},
+            "checksum": "0" * 16,
+        }
+        cache.backend.put(first.key, entry)
+        replay = run_one(job, ResultCache(tmp_path / "cache"))
+        assert replay.cached
+        assert replay.payload == first.payload
+
+
+class TestHitPath:
+    def test_hit_reads_backend_once(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        job = Job("rca:6", 0.9)
+        run_one(job, cache)
+        reads = []
+        get = cache.backend.get
+        cache.backend.get = lambda key: reads.append(key) or get(key)
+        assert run_one(job, cache).cached
+        assert len(reads) == 1
+
+    def test_seeded_entry_has_no_warm_field(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_one(Job("rca:6", 0.92), cache)
+        seeded, seed = _traced(Job("rca:6", 0.88), cache)
+        assert seed["replayed"] > 0
+        entry = cache.backend.get(seeded.key)
+        assert set(entry) == {"cache_layout", "payload"}
+        assert entry["cache_layout"] == CACHE_LAYOUT_VERSION
 
 
 class TestParallelSerialParity:
@@ -230,23 +325,16 @@ class TestParallelSerialParity:
             Job("rca:8", 0.85),
         ]
         serial_cache = ResultCache(tmp_path / "serial")
-        serial = run_campaign(
-            jobs,
-            jobs=1,
-            cache=serial_cache,
-            warm_corpus=f"disk:{tmp_path / 'serial'}",
-        )
+        serial = run_campaign(jobs, jobs=1, cache=serial_cache)
         parallel_cache = ResultCache(tmp_path / "parallel")
-        parallel = run_campaign(
-            jobs,
-            jobs=2,
-            cache=parallel_cache,
-            warm_corpus=f"disk:{tmp_path / 'parallel'}",
-        )
+        parallel = run_campaign(jobs, jobs=2, cache=parallel_cache)
         for a, b in zip(serial.outcomes, parallel.outcomes):
             assert _comparable(a) == _comparable(b)
-        # Both runs cached identical entries under identical keys.
+        # Both runs cached identical entries under identical keys, and
+        # the process-pool workers stored trajectories too.
         assert sorted(serial_cache.scan()) == sorted(parallel_cache.scan())
         for key in serial_cache.scan():
             assert canonical_json(comparable_payload(serial_cache.get(key))) \
                 == canonical_json(comparable_payload(parallel_cache.get(key)))
+        for job in jobs:
+            assert parallel_cache.backend.get(_key(job)) is not None
