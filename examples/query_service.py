@@ -72,8 +72,8 @@ def main() -> None:
 
         stats = client.stats()
         print(f"stats: jobs {stats['jobs']}, "
-              f"cache hits {stats['cache_hits']}, flow solves "
-              f"{ {k: v.get('solves') for k, v in stats['flow'].items()} }")
+              f"cache hits {stats['cache_hits']}, "
+              f"executed {stats['executed']}")
 
     server.shutdown()
     server.server_close()

@@ -38,9 +38,9 @@ malformed run dir).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -49,9 +49,9 @@ from repro.circuit import circuit_stats, map_to_primitives
 from repro.circuit.mapping import is_primitive_circuit
 from repro.dag import build_sizing_dag
 from repro.errors import FlowError, ReproError
-from repro.flow.duality import BACKEND_CHOICES, check_backend, stats_scope
+from repro.flow.duality import BACKEND_CHOICES, check_backend
 from repro.generators.iscas import SUITE
-from repro.runner.spec import JOB_KINDS
+from repro.obs.trace import SpanSink, span, trace_scope
 from repro.sizing import MinfloOptions, minflotransit, tilos_size
 from repro.tech import default_technology
 from repro.timing import analyze
@@ -101,11 +101,17 @@ def _cmd_size(args: argparse.Namespace) -> int:
     print(f"{circuit.name}: {circuit.n_gates} gates, {dag.n} variables, "
           f"Dmin = {d_min:.0f} ps, target = {target:.0f} ps")
 
-    # Scope the flow-solver counters to this run: the module totals are
-    # cumulative per process, so printing them directly would mix in any
-    # earlier solves (other commands, other library calls).
-    with stats_scope() as flow_totals:
-        seed = tilos_size(dag, target)
+    # The run's spans are its one timing record: --phase-stats is a
+    # view over them.
+    sink = SpanSink()
+    with trace_scope(sink=sink):
+        with span("tilos.seed", circuit=args.circuit) as seed_span:
+            seed = tilos_size(dag, target)
+            seed_span.set(
+                iterations=seed.iterations,
+                feasible=seed.feasible,
+                **seed.timing_stats,
+            )
         if not seed.feasible:
             print(f"TILOS stalled at {seed.critical_path_delay:.0f} ps — "
                   f"spec {args.spec} is below this circuit's delay floor")
@@ -113,20 +119,18 @@ def _cmd_size(args: argparse.Namespace) -> int:
         print(f"TILOS: area {seed.area:.1f} "
               f"({seed.area / dag.area(dag.min_sizes()):.2f}x min), "
               f"{seed.runtime_seconds:.2f}s")
-        result = minflotransit(
-            dag,
-            target,
-            MinfloOptions(flow_backend=args.backend),
-            x0=seed.x,
-        )
+        with span("minflo", circuit=args.circuit):
+            result = minflotransit(
+                dag,
+                target,
+                MinfloOptions(flow_backend=args.backend),
+                x0=seed.x,
+            )
     print(result.summary())
     print(f"area saved over TILOS: "
           f"{100 * (1 - result.area / seed.area):.2f}%")
     if args.phase_stats:
-        _print_phase_stats(seed, result)
-    if args.flow_stats:
-        _print_iteration_stats(seed, result)
-        _print_flow_stats(flow_totals)
+        _print_phase_stats(sink.drain(), result)
     if args.out:
         with open(args.out, "w") as handle:
             for vertex in dag.vertices:
@@ -137,76 +141,55 @@ def _cmd_size(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_flow_stats(totals: dict) -> None:
-    """Per-backend flow-solver totals of one run (a stats_scope dict)."""
-    if not totals:
-        print("no flow solves recorded")
-        return
+def _print_phase_stats(spans: list[dict], result) -> None:
+    """Where one sizing run's time went: its spans grouped by name.
+
+    One row per span name, in order of first completion, with the call
+    count and total seconds.  The notes come from span attributes
+    (TILOS bumps and timing cone, D-phase solves per backend, W-phase
+    sweeps) and, for the W/D timing cone, from the iteration records.
+    """
+    groups: dict[str, list[dict]] = {}
+    for record in spans:
+        groups.setdefault(record["name"], []).append(record)
     rows = [
         [
             name,
-            str(stats.solves),
-            str(stats.n_nodes),
-            str(stats.n_arcs),
-            f"{stats.wall_time_s:.3f}",
+            str(len(records)),
+            f"{sum(r['duration_s'] for r in records):.3f}",
+            _span_note(name, [r.get("attrs") or {} for r in records], result),
         ]
-        for name, stats in sorted(totals.items())
+        for name, records in groups.items()
     ]
     print(format_table(
-        ["backend", "solves", "nodes", "arcs", "wall s"],
-        rows,
-        title="flow solver statistics",
-    ))
-
-
-def _print_phase_stats(seed, result) -> None:
-    """Per-phase wall-time breakdown of one sizing run.
-
-    Attributes a regression to the phase that caused it: the TILOS
-    seed (with its scan/refresh split), incremental timing, delay
-    balancing, the D-phase flow solve and the W-phase SMP relaxation.
-    """
-    tstats = seed.timing_stats
-    seed_note = (
-        f"scan {tstats.get('scan_seconds', 0.0):.3f}s, "
-        f"refresh {tstats.get('refresh_seconds', 0.0):.3f}s"
-    )
-    phases = result.phase_seconds
-    rows = [
-        ["TILOS seed", f"{seed.runtime_seconds:.3f}", seed_note],
-        ["timing", f"{phases.get('timing', 0.0):.3f}",
-         "incremental AT/RT maintenance"],
-        ["balance", f"{phases.get('balance', 0.0):.3f}",
-         "FSDU delay balancing"],
-        ["D-phase flow", f"{phases.get('d_phase', 0.0):.3f}",
-         "min-cost-flow budget redistribution"],
-        ["W-phase", f"{phases.get('w_phase', 0.0):.3f}",
-         f"{result.w_sweeps_total} SMP sweeps"],
-    ]
-    print(format_table(
-        ["phase", "wall s", "notes"], rows,
+        ["span", "calls", "total s", "notes"], rows,
         title="per-phase wall time",
     ))
 
 
-def _print_iteration_stats(seed, result) -> None:
-    """Incremental-timing telemetry of one sizing run."""
-    tstats = seed.timing_stats
-    if tstats:
-        print(
-            f"TILOS timing (incremental): re-propagated "
-            f"{tstats['repropagated_vertices']} vertices over "
-            f"{tstats['updates']} bumps = "
-            f"{100 * tstats['cone_fraction']:.1f}% of a full pass each"
-        )
-    if result.iterations:
+def _span_note(name: str, attrs: list[dict], result) -> str:
+    """The ``--phase-stats`` note of one span name."""
+    if name == "tilos.seed":
+        seed = attrs[0]
+        return (f"{seed['iterations']} bumps, timing cone "
+                f"{100 * seed['cone_fraction']:.1f}% of a full pass")
+    if name == "minflo.timing" and result.iterations:
         mean_cone = sum(
             rec.cone_fraction for rec in result.iterations
         ) / len(result.iterations)
-        print(
-            f"W/D iterations: {len(result.iterations)}, mean timing cone "
-            f"{100 * mean_cone:.1f}% of a full pass"
+        return f"mean W/D timing cone {100 * mean_cone:.1f}% of a full pass"
+    if name == "minflo.balance":
+        return "FSDU delay balancing"
+    if name == "minflo.d_phase":
+        solves = Counter(a["backend"] for a in attrs)
+        return "LP solves: " + ", ".join(
+            f"{backend} {n}" for backend, n in sorted(solves.items())
         )
+    if name == "minflo.w_phase":
+        return f"{sum(a['sweeps'] for a in attrs)} SMP sweeps"
+    if name == "minflo":
+        return f"{len(result.iterations)} W/D iterations"
+    return ""
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -306,12 +289,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             circuits=tuple(args.circuits.split(",")),
             delay_specs=delay_specs,
             flow_backends=(args.backend,),
-            kind=args.kind,
         )
     else:
         spec = tier_preset(args.tier, flow_backend=args.backend)
-        if args.kind != spec.kind:
-            spec = dataclasses.replace(spec, kind=args.kind)
     run_dir = Path(args.run_dir or Path("runs") / spec.name)
     _install_cli_faults(args, run_dir)
     result = runner.run(
@@ -547,10 +527,6 @@ def _add_campaign_parser(sub) -> None:
             p.add_argument("--tier", default=None,
                            choices=["smoke", "paper"],
                            help="preset sweep when --circuits is absent")
-            p.add_argument("--kind", default="sizing",
-                           choices=list(JOB_KINDS),
-                           help="job kind: sizing (full pipeline) or "
-                                "phases (timing study)")
             p.add_argument("--flow-backend", "--backend", dest="backend",
                            default="auto", type=_flow_backend,
                            choices=BACKEND_CHOICES)
@@ -711,12 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="D-phase LP solver: 'networkx' (network "
                              "simplex), 'scipy' (HiGHS) or 'auto' "
                              "(picks by LP size)")
-    p_size.add_argument("--flow-stats", action="store_true",
-                        help="print per-backend solver statistics")
     p_size.add_argument("--phase-stats", action="store_true",
-                        help="print a per-phase wall-time breakdown "
-                             "(TILOS, timing, balancing, D-phase flow, "
-                             "W-phase sweeps)")
+                        help="print the run's spans grouped by name: "
+                             "calls and seconds per phase (TILOS, "
+                             "timing, balancing, D-phase LP solves per "
+                             "backend, W-phase sweeps)")
     p_size.add_argument("--out", help="write per-vertex sizes to a file")
     p_size.set_defaults(func=_cmd_size)
 

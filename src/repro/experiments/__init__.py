@@ -1,8 +1,10 @@
 """Experiment harnesses reproducing the paper's table and figures.
 
-All three harnesses (Table 1, Figure 7, the scaling study) build
+The Table 1 and Figure 7 harnesses build
 :class:`repro.runner.CampaignSpec` sweeps and execute them on the
 campaign runner — parallel under ``jobs=N``, cacheable, resumable.
+The scaling study (:mod:`repro.experiments.scaling`) times its phase
+passes itself, serially in one process.
 """
 
 from repro.experiments.figure7 import (
@@ -12,7 +14,6 @@ from repro.experiments.figure7 import (
     panel_spec,
     run_panel,
 )
-from repro.experiments.scaling import scaling_spec
 from repro.experiments.table1 import (
     Table1Row,
     campaign_spec,
@@ -33,6 +34,5 @@ __all__ = [
     "run_panel",
     "run_row",
     "run_table1",
-    "scaling_spec",
     "select_specs",
 ]

@@ -6,12 +6,10 @@ phase.  The paper reports that in practice both phases grow near
 linearly with circuit size ("comparable to TILOS"); slopes close to 1.0
 reproduce that claim on this implementation.
 
-Each width is one ``phases`` job on :mod:`repro.runner` — the
-measurement loops live in the executor, not here.  Timing jobs are
-never cached (wall-clock numbers are not content-addressable), and the
-default stays serial: concurrent workers would contend for cores and
-contaminate each other's measurements, so only pass ``jobs > 1`` on a
-machine with enough idle cores.
+Each width is measured in this process, one after the other: the
+timings are wall-clock numbers, so they are never cached, and
+concurrent workers would contend for cores and contaminate each
+other's measurements.
 
 Run:  python -m repro.experiments.scaling [--widths 8,16,32,64]
 """
@@ -19,16 +17,22 @@ Run:  python -m repro.experiments.scaling [--widths 8,16,32,64]
 from __future__ import annotations
 
 import argparse
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.runner import CampaignSpec, run
+from repro.balancing import balance
+from repro.dag import build_sizing_dag
+from repro.generators import ripple_carry_adder
+from repro.sizing import d_phase, tilos_size, w_phase
+from repro.tech import default_technology
+from repro.timing import GraphTimer
 
 __all__ = [
     "ScalingPoint",
-    "scaling_spec",
+    "measure_phases",
     "run_scaling",
     "fit_slopes",
     "format_scaling",
@@ -48,39 +52,54 @@ class ScalingPoint:
     d_phase_seconds: float
 
 
-def scaling_spec(
-    widths: list[int] | None = None, spec: float = 0.6
-) -> CampaignSpec:
-    """The scaling sweep as a campaign of ``phases`` timing jobs."""
-    return CampaignSpec(
-        name="scaling",
-        circuits=tuple(f"rca:{w}" for w in widths or DEFAULT_WIDTHS),
-        delay_specs=(spec,),
-        kind="phases",
+def _best_of(fn, repeats: int = 3) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def measure_phases(width: int, spec: float = 0.6) -> ScalingPoint:
+    """Time one STA / balance / W-phase / D-phase pass on ``rca:width``."""
+    circuit = ripple_carry_adder(width, style="nand")
+    dag = build_sizing_dag(circuit, default_technology(), mode="gate")
+    timer = GraphTimer(dag)
+    d_min = timer.analyze(dag.delays(dag.min_sizes())).critical_path_delay
+    target = spec * d_min
+    seed = tilos_size(dag, target)
+    x = seed.x if seed.feasible else dag.min_sizes() * 2
+    delays = dag.delays(x)
+    horizon = max(target, timer.analyze(delays).critical_path_delay)
+    config = balance(dag, delays, horizon=horizon, timer=timer)
+    load = delays - dag.model.intrinsic
+    budgets = delays * 1.01
+
+    # Warm up the LP backend once so one-time solver setup does not
+    # pollute the smallest instance's measurement.
+    d_phase(dag, x, config, -0.2 * load, 0.2 * load)
+    return ScalingPoint(
+        width=width,
+        n_vertices=dag.n,
+        n_edges=dag.n_edges,
+        sta_seconds=_best_of(lambda: timer.analyze(delays)),
+        balance_seconds=_best_of(
+            lambda: balance(dag, delays, horizon=horizon, timer=timer)
+        ),
+        w_phase_seconds=_best_of(lambda: w_phase(dag, budgets)),
+        d_phase_seconds=_best_of(
+            lambda: d_phase(dag, x, config, -0.2 * load, 0.2 * load),
+            repeats=1,
+        ),
     )
 
 
 def run_scaling(
-    widths: list[int] | None = None, spec: float = 0.6, jobs: int = 1
+    widths: list[int] | None = None, spec: float = 0.6
 ) -> list[ScalingPoint]:
-    result = run(scaling_spec(widths, spec), jobs=jobs, cache=None)
-    points = []
-    for outcome in result.outcomes:
-        if not outcome.completed:
-            raise RuntimeError(
-                f"job {outcome.job.label()} {outcome.status}: {outcome.error}"
-            )
-        payload = outcome.payload
-        points.append(ScalingPoint(
-            width=payload["width"],
-            n_vertices=payload["n_vertices"],
-            n_edges=payload["n_edges"],
-            sta_seconds=payload["sta_seconds"],
-            balance_seconds=payload["balance_seconds"],
-            w_phase_seconds=payload["w_phase_seconds"],
-            d_phase_seconds=payload["d_phase_seconds"],
-        ))
-    return points
+    """One :func:`measure_phases` point per adder width, serially."""
+    return [measure_phases(width, spec) for width in widths or DEFAULT_WIDTHS]
 
 
 def fit_slopes(points: list[ScalingPoint]) -> dict[str, float]:

@@ -5,13 +5,10 @@ from repro.flow.duality import (
     DifferenceConstraintLP,
     GroundedFlow,
     LpSolution,
-    SolveStats,
     ground_flow,
     integerize_supplies,
     integerize_values,
-    reset_solver_statistics,
     solve_difference_lp,
-    solver_statistics,
 )
 from repro.flow.network import Arc, FlowProblem, FlowSolution
 from repro.flow.verify import check_flow_feasible, check_flow_optimal
@@ -24,13 +21,10 @@ __all__ = [
     "FlowSolution",
     "GroundedFlow",
     "LpSolution",
-    "SolveStats",
     "check_flow_feasible",
     "check_flow_optimal",
     "ground_flow",
     "integerize_supplies",
     "integerize_values",
-    "reset_solver_statistics",
     "solve_difference_lp",
-    "solver_statistics",
 ]

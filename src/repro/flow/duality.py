@@ -25,10 +25,9 @@ cross-checked in the test suite:
 :data:`NETWORK_SIMPLEX_MAX_CONSTRAINTS` constraints, where it has no LP
 setup cost to amortize, and HiGHS above, where its compiled simplex
 wins.  Each solver module is imported on first use, so a process that
-only ever solves one kind of LP never imports the other solver.
-Every solve records a :class:`SolveStats` (solver, instance size, wall
-time) on the solution and in per-backend running totals, which
-:func:`stats_scope` scopes to one run.
+only ever solves one kind of LP never imports the other solver.  The
+solution names the solver that ran; the D-phase records it on its
+``minflo.d_phase`` span and in each iteration record.
 
 This module is also the single home of the **integerization policy**:
 :func:`integerize_values` (nearest / conservative-floor rounding) and
@@ -39,9 +38,7 @@ integer data, so the rounding rules cannot drift apart.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,15 +52,11 @@ __all__ = [
     "GroundedFlow",
     "LpSolution",
     "NETWORK_SIMPLEX_MAX_CONSTRAINTS",
-    "SolveStats",
     "check_backend",
     "ground_flow",
     "integerize_supplies",
     "integerize_values",
-    "reset_solver_statistics",
     "solve_difference_lp",
-    "solver_statistics",
-    "stats_scope",
 ]
 
 #: The two D-phase LP solvers, by name.
@@ -180,13 +173,11 @@ class GroundedFlow:
 
 @dataclass
 class LpSolution:
-    """A solved difference LP: optimal assignment, objective, telemetry."""
+    """A solved difference LP: optimal assignment, objective, solver."""
 
     r: np.ndarray
     objective: float
     backend: str
-    #: Solver counters, filled in by :func:`solve_difference_lp`.
-    stats: SolveStats | None = None
 
 
 def ground_flow(lp: DifferenceConstraintLP) -> GroundedFlow:
@@ -243,8 +234,7 @@ def solve_difference_lp(
     ``backend`` is one of :data:`BACKEND_CHOICES`; ``"auto"`` picks
     network simplex for LPs of at most
     :data:`NETWORK_SIMPLEX_MAX_CONSTRAINTS` constraints and HiGHS
-    above.  The solve's :class:`SolveStats` lands on the returned
-    solution and in the per-backend running totals.
+    above; the returned solution's ``backend`` names the one that ran.
     """
     check_backend(backend)
     if backend == "auto":
@@ -257,90 +247,7 @@ def solve_difference_lp(
         from repro.flow.networkx_backend import solve_lp_networkx as solve
     else:
         from repro.flow.scipy_backend import solve_lp_scipy as solve
-    start = time.perf_counter()
     solution = solve(lp)
-    solution.stats = SolveStats(
-        backend=backend,
-        n_nodes=lp.n_nodes,
-        n_arcs=len(lp.constraints),
-        wall_time_s=time.perf_counter() - start,
-    )
-    record_stats(solution.stats)
     lp.check_feasible(solution.r)
     return solution
 
-
-@dataclass
-class SolveStats:
-    """Counters of the solves :func:`solve_difference_lp` ran."""
-
-    backend: str
-    n_nodes: int = 0
-    n_arcs: int = 0
-    wall_time_s: float = 0.0
-    solves: int = 1
-
-    def merge(self, other: "SolveStats") -> None:
-        """Fold another solve's counters into this running total."""
-        self.wall_time_s += other.wall_time_s
-        self.solves += other.solves
-        self.n_nodes = max(self.n_nodes, other.n_nodes)
-        self.n_arcs = max(self.n_arcs, other.n_arcs)
-
-
-_TOTALS: dict[str, SolveStats] = {}
-
-
-def record_stats(stats: SolveStats) -> None:
-    """Fold one solve's counters into the per-backend running totals."""
-    total = _TOTALS.get(stats.backend)
-    if total is None:
-        _TOTALS[stats.backend] = replace(stats)
-    else:
-        total.merge(stats)
-
-
-def solver_statistics() -> dict[str, SolveStats]:
-    """Snapshot of per-backend totals since the last reset."""
-    return {name: replace(total) for name, total in _TOTALS.items()}
-
-
-def reset_solver_statistics() -> None:
-    """Zero the per-backend running totals."""
-    _TOTALS.clear()
-
-
-@contextmanager
-def stats_scope():
-    """Collect solver statistics for exactly the enclosed work.
-
-    The module-level totals are cumulative since import, which makes
-    them wrong for any consumer that needs *per-run* numbers (the CLI's
-    ``--flow-stats``, the campaign executor's per-job telemetry): totals
-    from earlier runs in the same process would leak in.  This context
-    manager isolates a scope — the yielded dict is filled with the
-    scope's own per-backend :class:`SolveStats` on exit — and then folds
-    the scoped counters back into the outer totals so nested/global
-    accounting still adds up.
-
-    Usage::
-
-        with stats_scope() as scoped:
-            minflotransit(...)
-        print(scoped)   # only this run's solves
-    """
-    outer = {name: replace(total) for name, total in _TOTALS.items()}
-    _TOTALS.clear()
-    scoped: dict[str, SolveStats] = {}
-    try:
-        yield scoped
-    finally:
-        scoped.update(
-            {name: replace(total) for name, total in _TOTALS.items()}
-        )
-        for name, total in outer.items():
-            mine = _TOTALS.get(name)
-            if mine is None:
-                _TOTALS[name] = replace(total)
-            else:
-                mine.merge(total)

@@ -30,8 +30,10 @@ Finished spans are JSON objects appended to ``trace.jsonl``::
 Durations always come from ``time.perf_counter()`` (monotonic); the
 ``ts`` field is wall-clock and only used for ordering in reports.
 Tracing is pay-as-you-go: with no active context, ``span(...)`` still
-measures ``duration_s`` (callers like ``minflotransit`` reuse it for
-``phase_seconds``) but allocates no ids and emits nothing.
+measures ``duration_s`` but allocates no ids and emits nothing.  Spans
+are the only timer inside the solver: ``python -m repro size
+--phase-stats``, ``trace.jsonl`` waterfalls and the service's
+``repro_phase_*`` series are all views over them.
 """
 
 from __future__ import annotations

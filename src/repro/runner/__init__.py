@@ -16,8 +16,8 @@ result cache, and resume after interruption:
 * :mod:`repro.runner.progress` / :mod:`repro.runner.report` — JSONL
   run records, resume, status rendering.
 
-The experiment harnesses (`repro.experiments.table1` / `figure7` /
-`scaling`) and the ``python -m repro campaign`` CLI all run on top of
+The Table 1 and Figure 7 harnesses (`repro.experiments.table1` /
+`figure7`) and the ``python -m repro campaign`` CLI all run on top of
 :func:`run` / :func:`resume` below.
 """
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.errors import RunnerError
 from repro.runner.backends import (
     CacheBackend,
     DiskBackend,
@@ -160,15 +159,8 @@ def resume(
     byte-identical by construction), the rest execute normally, and the
     log is appended to — never truncated.
     """
-    state = load_run(run_dir)
-    try:
-        spec = state.spec
-    except (KeyError, TypeError) as exc:
-        raise RunnerError(
-            f"run log in {run_dir} has no usable campaign spec: {exc}"
-        ) from exc
     return run(
-        spec,
+        load_run(run_dir).spec,
         jobs=jobs,
         cache=cache,
         run_dir=run_dir,

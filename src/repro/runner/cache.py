@@ -68,7 +68,10 @@ TRAJECTORY_PREFIX = "tilos-"
 #: Version of the cache entry layout itself (bump to orphan every
 #: existing entry when the payload structure changes incompatibly).
 #: 2: payloads no longer carry the native flow engines' counters.
-CACHE_LAYOUT_VERSION = 2
+#: 3: payloads no longer carry the job kind, the flow-solver totals,
+#: the per-phase wall times, TILOS's timer counters or the
+#: per-iteration kernel label; spans hold the timings.
+CACHE_LAYOUT_VERSION = 3
 
 
 def netlist_digest(token: str) -> str:

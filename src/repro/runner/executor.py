@@ -24,9 +24,10 @@
   (the JSONL run log) observe completion order but every record
   carries its job index.
 
-Per-job flow-solver telemetry is collected with
-:func:`repro.flow.duality.stats_scope` — never from the module-global
-totals, which would interleave under any concurrent or repeated use.
+A job's timings are its spans (``job.execute``, ``tilos.seed``,
+``minflo.*``), collected per job through the trace context; the
+payload carries only what the job computed, plus the TILOS and
+MINFLOTRANSIT ``runtime_seconds``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from concurrent.futures import (
     wait,
 )
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from repro.errors import JobTimeoutError, ReproError
 from repro.faults.injector import active as active_faults
@@ -79,11 +80,6 @@ __all__ = [
 #: therefore cacheable); ``failed``/``timeout`` are not.
 COMPLETED_STATUSES = ("ok", "infeasible")
 
-#: Job kinds whose payloads are deterministic functions of the job
-#: fingerprint, hence content-addressable.  ``phases`` payloads are
-#: wall-clock measurements and never cached.
-CACHEABLE_KINDS = ("sizing",)
-
 #: Fresh-pool attempts after worker deaths before the surviving jobs
 #: are failed outright — bounds a crash-looping workload (and, under
 #: fault injection, caps how long an uncapped ``worker:kill`` rule can
@@ -103,18 +99,9 @@ class JobOutcome:
     wall_seconds: float
     payload: dict | None
     error: str | None = None
-    #: Monotonic execution duration in seconds (``perf_counter``-based,
-    #: immune to wall-clock steps — never negative).  Defaults to
-    #: ``wall_seconds``, which is already monotonic; surfaces that
-    #: measure a longer lifecycle (the service job stores) override it.
-    duration_s: float | None = None
     #: Trace id of the execution that produced this outcome (None when
     #: tracing is off); volatile telemetry, never part of the payload.
     trace_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.duration_s is None:
-            object.__setattr__(self, "duration_s", self.wall_seconds)
 
     @property
     def completed(self) -> bool:
@@ -163,7 +150,6 @@ def _execute_sizing(
     """
     from repro.circuit.mapping import is_primitive_circuit, map_to_primitives
     from repro.dag import build_sizing_dag
-    from repro.flow.duality import stats_scope
     from repro.runner.trajectory import seeded_tilos
     from repro.sizing import minflotransit
     from repro.sizing.serialize import result_to_dict
@@ -181,7 +167,6 @@ def _execute_sizing(
     target = job.delay_spec * d_min
 
     payload = {
-        "kind": "sizing",
         "circuit": job.circuit,
         "name": circuit.name,
         "n_gates": circuit.n_gates,
@@ -191,98 +176,36 @@ def _execute_sizing(
         "target": target,
         "min_area": dag.area(x_min),
     }
-    with stats_scope() as flow_stats:
-        with span("tilos.seed", circuit=job.circuit) as seed_span:
-            seed, rejected = seeded_tilos(dag, target, cache)
-            seed_span.set(
-                iterations=seed.iterations,
-                feasible=seed.feasible,
-                replayed=(seed.warm or {}).get("replayed", 0),
+    with span("tilos.seed", circuit=job.circuit) as seed_span:
+        seed, rejected = seeded_tilos(dag, target, cache)
+        # The timer counters cover only the bumps this run timed (a
+        # seeded run fast-forwards ``replayed`` bumps untimed), so they
+        # describe this execution and stay out of the payload.
+        seed_span.set(
+            iterations=seed.iterations,
+            feasible=seed.feasible,
+            replayed=(seed.warm or {}).get("replayed", 0),
+            **seed.timing_stats,
+        )
+        if rejected is not None:
+            seed_span.set(rejected=rejected)
+    payload["seed"] = {
+        "feasible": seed.feasible,
+        "area": seed.area,
+        "critical_path_delay": seed.critical_path_delay,
+        "runtime_seconds": seed.runtime_seconds,
+        "iterations": seed.iterations,
+    }
+    if not seed.feasible:
+        payload["result"] = None
+    else:
+        with span("minflo", circuit=job.circuit) as minflo_span:
+            result = minflotransit(
+                dag, target, options=job.minflo_options(), x0=seed.x
             )
-            if rejected is not None:
-                seed_span.set(rejected=rejected)
-        payload["seed"] = {
-            "feasible": seed.feasible,
-            "area": seed.area,
-            "critical_path_delay": seed.critical_path_delay,
-            "runtime_seconds": seed.runtime_seconds,
-            "iterations": seed.iterations,
-            "timing_stats": seed.timing_stats,
-        }
-        if not seed.feasible:
-            payload["result"] = None
-        else:
-            with span("minflo", circuit=job.circuit) as minflo_span:
-                result = minflotransit(
-                    dag, target, options=job.minflo_options(), x0=seed.x
-                )
-                minflo_span.set(iterations=len(result.iterations))
-            payload["result"] = result_to_dict(result)
-    payload["flow_stats"] = {
-        name: asdict(stats) for name, stats in sorted(flow_stats.items())
-    }
+            minflo_span.set(iterations=len(result.iterations))
+        payload["result"] = result_to_dict(result)
     return ("ok" if seed.feasible else "infeasible"), payload
-
-
-def _execute_phases(job: Job) -> tuple[str, dict]:
-    """Time one STA / balance / W-phase / D-phase pass (scaling study)."""
-    from repro.balancing import balance
-    from repro.dag import build_sizing_dag
-    from repro.sizing import d_phase, tilos_size, w_phase
-    from repro.tech import default_technology
-    from repro.timing import GraphTimer
-
-    def best_of(fn, repeats: int = 3) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    circuit = resolve_circuit(job.circuit)
-    dag = build_sizing_dag(circuit, default_technology(), mode=job.mode)
-    timer = GraphTimer(dag)
-    d_min = timer.analyze(dag.delays(dag.min_sizes())).critical_path_delay
-    target = job.delay_spec * d_min
-    seed = tilos_size(dag, target)
-    x = seed.x if seed.feasible else dag.min_sizes() * 2
-    delays = dag.delays(x)
-    horizon = max(target, timer.analyze(delays).critical_path_delay)
-    config = balance(dag, delays, horizon=horizon, timer=timer)
-    load = delays - dag.model.intrinsic
-    budgets = delays * 1.01
-
-    # Warm up the LP backend once so one-time solver setup does not
-    # pollute the smallest instance's measurement.
-    d_phase(dag, x, config, -0.2 * load, 0.2 * load)
-    width = 0
-    if job.circuit.startswith("rca:"):
-        width = int(job.circuit.split(":", 1)[1])
-    payload = {
-        "kind": "phases",
-        "circuit": job.circuit,
-        "name": circuit.name,
-        "width": width,
-        "n_vertices": dag.n,
-        "n_edges": dag.n_edges,
-        "sta_seconds": best_of(lambda: timer.analyze(delays)),
-        "balance_seconds": best_of(
-            lambda: balance(dag, delays, horizon=horizon, timer=timer)
-        ),
-        "w_phase_seconds": best_of(lambda: w_phase(dag, budgets)),
-        "d_phase_seconds": best_of(
-            lambda: d_phase(dag, x, config, -0.2 * load, 0.2 * load),
-            repeats=1,
-        ),
-    }
-    return "ok", payload
-
-
-_EXECUTORS = {
-    "sizing": _execute_sizing,
-    "phases": _execute_phases,
-}
 
 
 def execute_job(
@@ -290,14 +213,11 @@ def execute_job(
 ) -> tuple[str, dict]:
     """Run one job to completion in this process; returns (status, payload).
 
-    ``cache`` (the job's result cache) reaches the cacheable sizing
-    executor only, for its TILOS trajectory record — phase-timing jobs
-    are wall-clock measurements with nothing to seed.
+    ``cache`` (the job's result cache) holds the instance's TILOS
+    trajectory record; the payload itself is stored by the caller.
     """
     probe("solver")  # injected solver-phase delays land here
-    if cache is not None and job.kind in CACHEABLE_KINDS:
-        return _EXECUTORS[job.kind](job, cache=cache)
-    return _EXECUTORS[job.kind](job)
+    return _execute_sizing(job, cache)
 
 
 def _watchdog_timeout(fn, timeout: float):
@@ -450,7 +370,6 @@ def pool_entry(
         with scope:
             with span(
                 "job.execute",
-                kind=job.kind,
                 circuit=job.circuit,
                 delay_spec=job.delay_spec,
             ):
@@ -495,12 +414,10 @@ def probe_cache(
 ) -> JobOutcome | None:
     """Replay a job from the result cache, or None on a miss.
 
-    Only :data:`CACHEABLE_KINDS` jobs are cacheable (phase-timing
-    payloads are wall-clock measurements); a hit comes back as a
-    completed :class:`JobOutcome` with ``cached=True`` and zero wall
-    time.
+    A hit comes back as a completed :class:`JobOutcome` with
+    ``cached=True`` and zero wall time.
     """
-    if cache is None or key is None or job.kind not in CACHEABLE_KINDS:
+    if cache is None or key is None:
         return None
     payload = cache.get(key)
     if payload is None:
@@ -517,19 +434,16 @@ def probe_cache(
 
 
 def store_outcome(outcome: JobOutcome, cache: ResultCache | None) -> None:
-    """Store a freshly computed, cacheable outcome in the result cache.
+    """Store a freshly computed outcome in the result cache.
 
-    No-op for cache misses that failed or timed out, for replayed
-    (already cached) outcomes, and for uncacheable job kinds.
+    No-op for cache misses that failed or timed out and for replayed
+    (already cached) outcomes.
     """
     if (
         outcome.completed
         and not outcome.cached
         and cache is not None
         and outcome.key is not None
-        # Phase-timing payloads are wall-clock measurements — not
-        # content-addressable, so never cached.
-        and outcome.job.kind in CACHEABLE_KINDS
     ):
         cache.put(outcome.key, outcome.payload)
 

@@ -7,7 +7,7 @@ A campaign run directory holds one append-only ``campaign.jsonl``:
   and labels;
 * then one ``job`` record per finished job, *in completion order*,
   carrying the job index, status, wall time, a compact result summary
-  (area, delay, iterations, per-backend flow totals) and any error.
+  (area, delay, iterations, D-phase solves) and any error.
 
 Resuming reads the log back, re-expands the spec, and re-runs the
 campaign against the same cache: completed sizing jobs replay from the
@@ -36,36 +36,26 @@ def job_summary(outcome: JobOutcome) -> dict:
     """Compact, table-ready digest of one outcome's payload."""
     payload = outcome.payload or {}
     summary: dict = {"name": payload.get("name")}
-    if payload.get("kind") == "sizing":
-        seed = payload.get("seed") or {}
-        summary["seed_area"] = seed.get("area")
-        summary["tilos_seconds"] = seed.get("runtime_seconds")
-        result = payload.get("result")
-        if result is not None:
-            summary.update(
-                area=result["area"],
-                critical_path_delay=result["critical_path_delay"],
-                target=result["target"],
-                iterations=len(result["iterations"]),
-                minflo_seconds=result["runtime_seconds"],
+    seed = payload.get("seed")
+    if seed is None:
+        return summary
+    summary["seed_area"] = seed.get("area")
+    summary["tilos_seconds"] = seed.get("runtime_seconds")
+    result = payload.get("result")
+    if result is not None:
+        summary.update(
+            area=result["area"],
+            critical_path_delay=result["critical_path_delay"],
+            target=result["target"],
+            iterations=len(result["iterations"]),
+            minflo_seconds=result["runtime_seconds"],
+        )
+        if seed.get("area"):
+            summary["saving_percent"] = 100.0 * (
+                1.0 - result["area"] / seed["area"]
             )
-            if seed.get("area"):
-                summary["saving_percent"] = 100.0 * (
-                    1.0 - result["area"] / seed["area"]
-                )
-        flow = payload.get("flow_stats") or {}
-        summary["flow_solves"] = sum(s["solves"] for s in flow.values())
-        summary["flow_wall_s"] = sum(s["wall_time_s"] for s in flow.values())
-    elif payload.get("kind") == "phases":
-        for key in (
-            "width",
-            "n_vertices",
-            "sta_seconds",
-            "balance_seconds",
-            "w_phase_seconds",
-            "d_phase_seconds",
-        ):
-            summary[key] = payload.get(key)
+    # Every W/D iteration runs exactly one D-phase LP solve.
+    summary["flow_solves"] = summary.get("iterations", 0)
     return summary
 
 
@@ -108,7 +98,6 @@ class RunLog:
             "status": outcome.status,
             "cached": outcome.cached,
             "wall_seconds": outcome.wall_seconds,
-            "duration_s": outcome.duration_s,
             "summary": job_summary(outcome),
             "error": outcome.error,
         }
@@ -151,8 +140,9 @@ def _check_header(header: dict, path: Path) -> dict:
     """Validate a campaign header record; RunnerError on malformed logs.
 
     Every field the status/resume paths dereference later is checked
-    here, so a truncated or hand-edited header becomes one clean
-    diagnostic (CLI exit 2) instead of a KeyError traceback deep in
+    here, so a truncated or hand-edited header, or the spec of a job
+    kind this build no longer runs, becomes one clean diagnostic (CLI
+    exit 2) instead of a KeyError traceback deep in
     :func:`repro.runner.report.status_dict`.
     """
     spec = header.get("spec")
@@ -169,6 +159,14 @@ def _check_header(header: dict, path: Path) -> dict:
             f"n_jobs and one label per job); delete the run directory "
             f"or restore the log to continue"
         )
+    try:
+        CampaignSpec.from_dict(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RunnerError(
+            f"{path} has a malformed campaign spec ({exc!r})"
+        ) from exc
+    except RunnerError as exc:
+        raise RunnerError(f"{path}: {exc}") from exc
     return header
 
 

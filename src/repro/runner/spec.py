@@ -30,17 +30,10 @@ from repro.sizing.minflo import MinfloOptions
 __all__ = [
     "Job",
     "CampaignSpec",
-    "JOB_KINDS",
     "normalize_options",
     "resolve_circuit",
     "tier_preset",
 ]
-
-#: Job kinds the executor knows how to run.  ``sizing`` is the full
-#: TILOS + MINFLOTRANSIT pipeline; ``phases`` times one STA / balance /
-#: W-phase / D-phase pass (the scaling study) and is never cached —
-#: wall-clock measurements are not content-addressable.
-JOB_KINDS = ("sizing", "phases")
 
 _SUITE_SPECS = {spec.name: spec.delay_spec for spec in SUITE}
 
@@ -56,6 +49,20 @@ def _check_backend(name: str) -> None:
         check_backend(name)
     except FlowError as exc:
         raise RunnerError(str(exc)) from None
+
+
+def _check_stored_kind(payload: dict) -> None:
+    """Refuse a stored job or spec of a retired kind.
+
+    Records written before jobs lost their ``kind`` field carry
+    ``"kind": "sizing"``, which every job is; any other kind (``phases``,
+    ``wphase``) names work this build no longer runs.
+    """
+    kind = payload.get("kind", "sizing")
+    if kind != "sizing":
+        raise RunnerError(
+            f"unknown job kind {kind!r}; every job is a sizing job"
+        )
 
 
 def normalize_options(overrides: dict | None) -> tuple[tuple[str, object], ...]:
@@ -78,12 +85,11 @@ def normalize_options(overrides: dict | None) -> tuple[tuple[str, object], ...]:
 
 @dataclass(frozen=True)
 class Job:
-    """One unit of campaign work: size (or time) one circuit at one
-    delay target with one solver configuration."""
+    """One unit of campaign work: size one circuit at one delay target
+    with one solver configuration."""
 
     circuit: str
     delay_spec: float
-    kind: str = "sizing"
     mode: str = "gate"
     flow_backend: str = "auto"
     #: Sorted ``(field, value)`` MinfloOptions overrides (see
@@ -91,10 +97,6 @@ class Job:
     options: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in JOB_KINDS:
-            raise RunnerError(
-                f"unknown job kind {self.kind!r}; pick from {JOB_KINDS}"
-            )
         if not 0.0 < self.delay_spec:
             raise RunnerError(
                 f"delay spec must be a positive fraction of Dmin, "
@@ -113,8 +115,6 @@ class Job:
         text = f"{self.circuit}@{self.delay_spec:g}"
         if self.flow_backend != "auto":
             text += f"/{self.flow_backend}"
-        if self.kind != "sizing":
-            text += f" [{self.kind}]"
         return text
 
     def to_dict(self) -> dict:
@@ -122,7 +122,6 @@ class Job:
         return {
             "circuit": self.circuit,
             "delay_spec": self.delay_spec,
-            "kind": self.kind,
             "mode": self.mode,
             "flow_backend": self.flow_backend,
             "options": [list(kv) for kv in self.options],
@@ -131,10 +130,10 @@ class Job:
     @staticmethod
     def from_dict(payload: dict) -> "Job":
         """Rebuild a job from its :meth:`to_dict` form."""
+        _check_stored_kind(payload)
         return Job(
             circuit=payload["circuit"],
             delay_spec=float(payload["delay_spec"]),
-            kind=payload.get("kind", "sizing"),
             mode=payload.get("mode", "gate"),
             flow_backend=payload.get("flow_backend", "auto"),
             options=tuple(
@@ -157,17 +156,12 @@ class CampaignSpec:
     circuits: tuple[str, ...]
     delay_specs: tuple[float, ...] = ()
     flow_backends: tuple[str, ...] = ("auto",)
-    kind: str = "sizing"
     mode: str = "gate"
     options: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.circuits:
             raise RunnerError("campaign needs at least one circuit")
-        if self.kind not in JOB_KINDS:
-            raise RunnerError(
-                f"unknown job kind {self.kind!r}; pick from {JOB_KINDS}"
-            )
         if not self.flow_backends:
             raise RunnerError("campaign needs at least one flow backend")
         for backend in self.flow_backends:
@@ -194,7 +188,6 @@ class CampaignSpec:
                         Job(
                             circuit=circuit,
                             delay_spec=delay_spec,
-                            kind=self.kind,
                             mode=self.mode,
                             flow_backend=backend,
                             options=self.options,
@@ -209,7 +202,6 @@ class CampaignSpec:
             "circuits": list(self.circuits),
             "delay_specs": list(self.delay_specs),
             "flow_backends": list(self.flow_backends),
-            "kind": self.kind,
             "mode": self.mode,
             "options": [list(kv) for kv in self.options],
         }
@@ -217,12 +209,12 @@ class CampaignSpec:
     @staticmethod
     def from_dict(payload: dict) -> "CampaignSpec":
         """Rebuild a spec from its :meth:`to_dict` form (JSONL header)."""
+        _check_stored_kind(payload)
         return CampaignSpec(
             name=payload["name"],
             circuits=tuple(payload["circuits"]),
             delay_specs=tuple(float(s) for s in payload["delay_specs"]),
             flow_backends=tuple(payload.get("flow_backends", ["auto"])),
-            kind=payload.get("kind", "sizing"),
             mode=payload.get("mode", "gate"),
             options=tuple(
                 (key, value) for key, value in payload.get("options", [])

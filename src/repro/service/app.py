@@ -109,11 +109,6 @@ _REQUEST_FIELDS = frozenset((
     "options", "async",
 ))
 
-#: Job kinds the service accepts.  ``phases`` is excluded on purpose:
-#: its payloads are wall-clock measurements, meaningless on a shared
-#: service host and never cacheable.
-_SERVICE_KINDS = ("sizing",)
-
 
 def _require(condition: bool, message: str) -> None:
     """Raise a 400-grade :class:`ServiceError` unless ``condition``."""
@@ -173,10 +168,11 @@ def build_job(body: dict, netlist_dir: Path | None = None) -> Job:
         "'circuit' must be a non-empty token string",
     )
 
+    # Every job is a sizing job; a body may still say so.
     kind = body.get("kind", "sizing")
     _require(
-        kind in _SERVICE_KINDS,
-        f"'kind' must be one of {list(_SERVICE_KINDS)}, got {kind!r}",
+        kind == "sizing",
+        f"'kind' must be one of ['sizing'], got {kind!r}",
     )
     delay_spec = body.get("delay_spec", 0.5)
     _require(
@@ -213,7 +209,6 @@ def build_job(body: dict, netlist_dir: Path | None = None) -> Job:
     return Job(
         circuit=circuit,
         delay_spec=float(delay_spec),
-        kind=kind,
         mode=mode,
         flow_backend=flow_backend,
         options=normalized,
@@ -322,12 +317,6 @@ class SizingService:
         self._m_job_seconds = self.metrics.histogram(
             "repro_job_seconds",
             "Monotonic execution seconds per job.",
-            ("kind",),
-        )
-        self._m_flow = self.metrics.gauge(
-            "repro_flow_stat",
-            "Accumulated per-backend flow-solver statistics.",
-            ("backend", "field"),
         )
         self._m_queue_depth = self.metrics.gauge(
             "repro_queue_depth",
@@ -562,20 +551,7 @@ class SizingService:
         self.admission.observe_drain(outcome.wall_seconds)
         self._m_executed.inc()
         self._m_finished.inc(status=outcome.status)
-        self._m_job_seconds.observe(
-            outcome.duration_s
-            if outcome.duration_s is not None
-            else outcome.wall_seconds,
-            kind=outcome.job.kind,
-        )
-        for name, stats in (
-            (outcome.payload or {}).get("flow_stats") or {}
-        ).items():
-            for field_name, value in stats.items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    self._m_flow.add(value, backend=name, field=field_name)
+        self._m_job_seconds.observe(outcome.wall_seconds)
         spans = (obs or {}).get("spans") or ()
         if spans:
             observe_spans(self.metrics, spans)
@@ -861,21 +837,10 @@ class SizingService:
         Every number here reads the same locked
         :class:`~repro.obs.metrics.MetricsRegistry` cells that
         ``/v1/metrics`` exposes, so the two endpoints can never
-        disagree.  ``flow`` sums the per-job
-        :class:`~repro.flow.duality.SolveStats` that each sizing
-        collects under its own
-        :func:`~repro.flow.duality.stats_scope` — per-request scoping
-        first, aggregation second, so concurrent jobs never interleave
-        counters.
+        disagree.  Solver-phase time and call counts are the
+        ``repro_phase_*`` series of ``/v1/metrics`` (e.g.
+        ``phase="minflo.d_phase"``), folded from each job's own spans.
         """
-        flow: dict[str, dict] = {}
-        for labels, value in self._m_flow.items():
-            cell = flow.setdefault(labels["backend"], {})
-            # SolveStats fields are ints (counts) or floats (wall
-            # time); restore int-ness lost to the float-valued gauge.
-            cell[labels["field"]] = (
-                int(value) if float(value).is_integer() else value
-            )
         cache_hits = int(self._m_cache_hits.total())
         executed = int(self._m_executed.total())
         breaker = self._cache_breaker()
@@ -903,7 +868,6 @@ class SizingService:
                 **self.store.describe(),
             },
             "admission": self.admission.counters(),
-            "flow": flow,
             "breaker": breaker.snapshot() if breaker is not None else None,
             "faults": (
                 {"spec": injector.spec, "injected": injector.counts()}

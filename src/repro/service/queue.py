@@ -77,7 +77,7 @@ POLL_INTERVAL = 0.05
 #: Monotonic admit anchors kept per instance before the table is
 #: cleared.  Jobs this process created but another replica finished
 #: (or the lease reaper poison-parked) never pop their anchor; an
-#: evicted anchor falls back to the outcome's own ``duration_s``.
+#: evicted anchor falls back to the outcome's own ``wall_seconds``.
 MAX_ANCHORS = 4096
 
 #: Backoff for contended/injected sqlite failures on queue operations.
@@ -135,7 +135,7 @@ class JobRecord:
     finished_at: float | None = None
     #: Admit-to-finish latency measured on the *monotonic* clock by the
     #: process that observed both ends (falls back to the outcome's
-    #: ``duration_s`` when finish happened in another process, e.g. a
+    #: ``wall_seconds`` when finish happened in another process, e.g. a
     #: queue-sharing replica).  Unlike ``finished_at - created_at`` it
     #: can never go negative under a wall-clock step.
     duration_s: float | None = None
@@ -394,7 +394,7 @@ class WorkQueue:
         created_at = time.time()
         created_mono = time.monotonic()
         terminal = (
-            {} if outcome is None else _terminal(outcome, outcome.duration_s)
+            {} if outcome is None else _terminal(outcome, outcome.wall_seconds)
         )
         record = JobRecord(
             id="", job=job, key=key, created_at=created_at, trace=trace,
@@ -450,11 +450,11 @@ class WorkQueue:
             anchor = self._created_mono.pop(job_id, None)
         # Monotonic admit-to-finish latency when this process saw both
         # ends; a queue-sharing replica that only executed falls back
-        # to the outcome's own monotonic duration.
+        # to the outcome's own monotonic execution time.
         done = _terminal(
             outcome,
             time.monotonic() - anchor if anchor is not None
-            else outcome.duration_s,
+            else outcome.wall_seconds,
         )
 
         def _write() -> None:

@@ -16,7 +16,7 @@ surface onto one shared :class:`~repro.service.app.SizingService`:
                                 when the shared-cache breaker is open
                                 or jobs sit in the dead-letter queue
 ``GET /v1/stats``               job counts, cache hits, queue + admission
-                                counters, aggregated SolveStats
+                                counters, breaker and fault state
 ==============================  =========================================
 
 Every response body is JSON rendered with

@@ -31,7 +31,6 @@ from repro.dag.transform import transform_dag
 from repro.errors import SizingError
 from repro.flow.duality import (
     DifferenceConstraintLP,
-    SolveStats,
     integerize_values,
     solve_difference_lp,
 )
@@ -50,8 +49,6 @@ class DPhaseResult:
     #: Predicted first-order area decrease, sum_i C_i * ΔD_i (>= 0).
     predicted_gain: float
     backend: str
-    #: Flow-solver counters for this solve.
-    stats: SolveStats | None = None
 
 
 def area_sensitivities(dag: SizingDag, x: np.ndarray) -> np.ndarray:
@@ -200,5 +197,4 @@ def d_phase(
         sensitivities=sensitivities,
         predicted_gain=predicted,
         backend=solution.backend,
-        stats=solution.stats,
     )

@@ -28,12 +28,11 @@ within 1e-10 (the two sum row dot products in different orders, so
 they agree to ulps, not bitwise).
 
 Per-iteration telemetry (cone size, D-phase solver, SMP sweep counts)
-lands in each
-:class:`~repro.sizing.result.IterationRecord`; cumulative per-phase
-wall times land in :attr:`~repro.sizing.result.SizingResult.phase_seconds`,
-measured by the :func:`repro.obs.trace.span` context managers around
-each phase — when the caller runs inside a trace scope, the same
-measurements double as ``minflo.*`` spans in ``trace.jsonl``.
+lands in each :class:`~repro.sizing.result.IterationRecord`.  Each
+phase runs inside a :func:`repro.obs.trace.span` (``minflo.timing``,
+``minflo.balance``, ``minflo.d_phase``, ``minflo.w_phase``); when the
+caller runs inside a trace scope, those spans are the run's per-phase
+wall times (``python -m repro size --phase-stats`` renders them).
 """
 
 from __future__ import annotations
@@ -150,22 +149,15 @@ def minflotransit(
     # feeds it only the delay diff (W-phase cone, or the revert diff
     # after a rejected step), never a full re-analysis.
     inc = IncrementalTimer(dag, dag.model.delays(x))
-    phase_seconds = {
-        "timing": 0.0, "balance": 0.0, "d_phase": 0.0, "w_phase": 0.0,
-    }
 
     for iteration in range(1, options.max_iterations + 1):
-        # Each phase runs inside an obs span; ``phase_seconds`` is a
-        # view over those span durations, so the run report and a
-        # ``trace.jsonl`` waterfall can never disagree.
-        with span("minflo.timing", iteration=iteration) as timing_span:
+        with span("minflo.timing", iteration=iteration):
             delays = dag.model.delays(x)
             base_work = inc.total_repropagated
             timing_updates = _sync(inc, delays)
             report = inc.report(horizon=target)
-        phase_seconds["timing"] += timing_span.duration_s
 
-        with span("minflo.balance", iteration=iteration) as balance_span:
+        with span("minflo.balance", iteration=iteration):
             config = balance(
                 dag,
                 delays,
@@ -174,7 +166,6 @@ def minflotransit(
                 timer=timer,
                 report=report,
             )
-        phase_seconds["balance"] += balance_span.duration_s
         load_delay = delays - dag.model.intrinsic
         max_dd = alpha * load_delay
         min_dd = -alpha * load_delay
@@ -189,18 +180,15 @@ def minflotransit(
                 backend=options.flow_backend,
             )
             d_span.set(backend=dres.backend)
-        phase_seconds["d_phase"] += d_span.duration_s
         budgets = delays + dres.delta_d
 
         with span("minflo.w_phase", iteration=iteration) as w_span:
             wres = w_phase(dag, budgets)
             w_span.set(sweeps=int(wres.sweeps))
-        phase_seconds["w_phase"] += w_span.duration_s
 
-        with span("minflo.timing", iteration=iteration) as resync_span:
+        with span("minflo.timing", iteration=iteration):
             timing_updates += _sync(inc, dag.model.delays(wres.x))
             report = inc.report(horizon=target)
-        phase_seconds["timing"] += resync_span.duration_s
         repropagated = inc.total_repropagated - base_work
 
         area = dag.area(wres.x)
@@ -224,7 +212,6 @@ def minflotransit(
                     else 0.0
                 ),
                 w_sweeps=wres.sweeps,
-                kernel="vectorized",
             )
         )
 
@@ -260,5 +247,4 @@ def minflotransit(
         runtime_seconds=time.perf_counter() - start,
         initial_area=initial_area,
         iterations=records,
-        phase_seconds=phase_seconds,
     )

@@ -31,10 +31,6 @@ class IterationRecord:
     cone_fraction: float = 1.0
     #: SMP relaxation sweeps the W-phase took this iteration.
     w_sweeps: int = 0
-    #: W-phase relaxation kernel: always "vectorized" (the one
-    #: level-blocked engine), kept so payloads and cache entries stay
-    #: byte-identical; "" on records predating the field.
-    kernel: str = ""
 
 
 @dataclass
@@ -51,11 +47,6 @@ class SizingResult:
     runtime_seconds: float
     initial_area: float
     iterations: list[IterationRecord] = field(default_factory=list)
-    #: Cumulative wall time per phase across all iterations (keys:
-    #: ``timing``, ``balance``, ``d_phase``, ``w_phase``); empty on
-    #: results predating the field.  ``python -m repro size
-    #: --phase-stats`` renders this breakdown.
-    phase_seconds: dict = field(default_factory=dict)
 
     @property
     def n_iterations(self) -> int:

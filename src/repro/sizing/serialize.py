@@ -57,21 +57,16 @@ def canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-#: Payload keys that carry wall-clock measurements.  Everything else in
-#: a job payload is a deterministic function of (netlist, technology,
-#: job parameters), so two executions of the same job — serial vs
+#: Keys that carry wall-clock measurements.  Everything else in a job
+#: payload is a deterministic function of (netlist, technology, job
+#: parameters), so two executions of the same job — serial vs
 #: parallel, cold vs warm-started, replica A vs replica B — must agree
 #: on the payload after these keys are stripped.
 VOLATILE_PAYLOAD_KEYS = frozenset({
-    "seconds",
+    # The TILOS and MINFLOTRANSIT CPU times (Table 1's columns).
     "runtime_seconds",
-    "wall_time_s",
+    # Job records around a payload (outcomes, run logs, queue rows).
     "wall_seconds",
-    "phase_seconds",
-    "timing_stats",
-    "scan_seconds",
-    "refresh_seconds",
-    "build_seconds",
     # Observability fields (repro.obs): trace/span identity and
     # monotonic durations are per-execution telemetry, never content.
     "trace_id",
@@ -117,11 +112,6 @@ def result_to_dict(result: SizingResult, dag: SizingDag | None = None) -> dict:
         "converged": result.converged,
         "runtime_seconds": result.runtime_seconds,
         "initial_area": result.initial_area,
-        # Additive since the original v2 layout: loaders treat the
-        # per-phase wall-time map (and the per-iteration kernel
-        # counters below) as optional, so older v2 documents and
-        # cached campaign payloads still load.
-        "phase_seconds": result.phase_seconds,
         "iterations": [
             {
                 "iteration": rec.iteration,
@@ -134,7 +124,6 @@ def result_to_dict(result: SizingResult, dag: SizingDag | None = None) -> dict:
                 "repropagated_vertices": rec.repropagated_vertices,
                 "cone_fraction": rec.cone_fraction,
                 "w_sweeps": rec.w_sweeps,
-                "kernel": rec.kernel,
             }
             for rec in result.iterations
         ],
@@ -184,8 +173,8 @@ def result_from_dict(payload: dict) -> SizingResult:
         converged=bool(payload["converged"]),
         runtime_seconds=float(payload["runtime_seconds"]),
         initial_area=float(payload["initial_area"]),
-        # Optional since mid-v2 (older documents simply lack it).
-        phase_seconds=dict(payload.get("phase_seconds", {})),
+        # Older v2 documents also carry a per-phase wall-time map and
+        # a per-iteration kernel label; both are ignored.
         iterations=[
             IterationRecord(
                 iteration=rec["iteration"],
@@ -199,7 +188,6 @@ def result_from_dict(payload: dict) -> SizingResult:
                 repropagated_vertices=rec.get("repropagated_vertices", 0),
                 cone_fraction=rec.get("cone_fraction", 1.0),
                 w_sweeps=rec.get("w_sweeps", 0),
-                kernel=rec.get("kernel", ""),
             )
             for rec in payload["iterations"]
         ],

@@ -25,7 +25,7 @@ loop to an identical bump sequence against a per-candidate reference
 that re-times the whole circuit after every bump
 (``reference_tilos`` in ``tests/conftest.py``).
 ``TilosResult.timing_stats`` records how much of the circuit the
-timer actually touched plus the scan/refresh wall-time split.
+timer actually touched.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class TilosResult:
     #: Timing work telemetry: ``repropagated_vertices`` (total
     #: vertices the incremental timer touched across all bumps),
     #: ``full_pass_equivalent`` (what a from-scratch pass would have
-    #: touched: ``2 * n`` per bump) and their ratio ``cone_fraction``;
-    #: plus the wall time split (``scan_seconds`` for candidate
-    #: scoring, ``refresh_seconds`` for post-bump delay updates).
+    #: touched: ``2 * n`` per bump) and their ratio ``cone_fraction``.
+    #: ``updates`` counts the bumps this call timed, so a seeded run
+    #: leaves out the ``warm["replayed"]`` bumps it fast-forwarded.
     timing_stats: dict = field(default_factory=dict)
     #: Vertices bumped at each iteration, recorded alongside ``trace``
     #: when ``keep_trace`` is on — the trajectory
@@ -196,7 +196,6 @@ def tilos_size(
             timer = IncrementalTimer(dag, delays)
     else:
         timer = IncrementalTimer(dag, delays)
-    seconds = {"scan_seconds": 0.0, "refresh_seconds": 0.0}
 
     def finish(cp: float, feasible: bool) -> TilosResult:
         # Work summary vs a full forward+backward pass per update (2n).
@@ -218,7 +217,6 @@ def tilos_size(
                     timer.total_repropagated / full_equiv
                     if full_equiv else 0.0
                 ),
-                **seconds,
             },
             bumps=bumps if keep_trace else None,
             warm=warm_info,
@@ -234,19 +232,15 @@ def tilos_size(
             return finish(cp, False)
 
         path = timer.critical_path()
-        tick = time.perf_counter()
         sensitivities, verts = plan.score_path(dag, x, path, options.bump)
-        seconds["scan_seconds"] += time.perf_counter() - tick
         if verts.size == 0 or sensitivities[0] <= 0:
             # No critical-path resize helps: greedy is stuck.
             return finish(cp, False)
 
-        tick = time.perf_counter()
         chosen = verts[: options.batch]
         changed = bump(chosen)
         if keep_trace:
             bumps.append([int(v) for v in chosen])
-        seconds["refresh_seconds"] += time.perf_counter() - tick
         timer.update_delays(changed, delays)
         iterations += 1
 

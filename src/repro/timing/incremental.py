@@ -41,7 +41,8 @@ sequences.
 
 Every :meth:`IncrementalTimer.update_delays` call returns an
 :class:`UpdateStats` with the cone size actually touched; cumulative
-totals feed the iteration benchmark and ``--flow-stats`` reporting.
+totals feed TILOS's ``timing_stats`` (the ``tilos.seed`` span's cone
+attributes) and each W/D iteration's ``cone_fraction``.
 """
 
 from __future__ import annotations

@@ -191,6 +191,16 @@ class TestResultCacheOverBackends:
             "result": None,
             "flow_stats": {"ssp": {"backend": "ssp", "augmentations": 12}},
         }
+        # Layout 2 payloads carry the job kind, the process-global
+        # flow-solver totals and the retired wall-time telemetry.
+        layout_2 = {
+            "kind": "sizing",
+            "seed": {"feasible": True, "timing_stats": {"updates": 3}},
+            "result": None,
+            "flow_stats": {"networkx": {"backend": "networkx", "solves": 5,
+                                        "wall_time_s": 0.01}},
+        }
+        assert CACHE_LAYOUT_VERSION == 3
         for spec in self._specs(tmp_path):
             cache = ResultCache(spec)
             cache.backend.put(KEY_A, {
@@ -200,6 +210,10 @@ class TestResultCacheOverBackends:
             assert cache.get(KEY_A) is None
             cache.backend.put(KEY_A, {"cache_layout": 1, "payload": layout_1})
             assert cache.get(KEY_A) is None
+            cache.backend.put(KEY_A, {"cache_layout": 2, "payload": layout_2})
+            assert cache.get(KEY_A) is None
+            cache.put(KEY_A, {"result": None})
+            assert cache.get(KEY_A) == {"result": None}
 
     def test_corrupt_disk_entry_through_result_cache(self, tmp_path):
         """The service-facing guarantee: a truncated cache file can

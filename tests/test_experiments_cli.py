@@ -1,5 +1,7 @@
 """Tests for the experiment harnesses and the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.experiments import (
@@ -112,6 +114,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "area saved over TILOS" in out
 
+    def test_size_phase_stats_is_a_span_view(self, capsys):
+        """``--phase-stats`` groups the run's spans by name: one row
+        per phase with its call count, the TILOS bumps, the D-phase
+        solves per backend and the W-phase sweeps."""
+        from repro.__main__ import main
+
+        assert main(["size", "c17", "--spec", "0.6", "--phase-stats"]) == 0
+        out = capsys.readouterr().out
+        iterations = int(re.search(r"(\d+) iterations,", out).group(1))
+        rows = {
+            line.split()[0]: line.split()
+            for line in out.splitlines()
+            if line.startswith(("tilos.seed", "minflo"))
+        }
+        assert list(rows) == [
+            "tilos.seed", "minflo.timing", "minflo.balance",
+            "minflo.d_phase", "minflo.w_phase", "minflo",
+        ]
+        assert rows["tilos.seed"][1] == rows["minflo"][1] == "1"
+        assert rows["minflo.timing"][1] == str(2 * iterations)
+        for name in ("minflo.balance", "minflo.d_phase", "minflo.w_phase"):
+            assert rows[name][1] == str(iterations)
+        assert "bumps, timing cone" in out
+        # c17's LPs are small: every solve is network simplex.
+        assert f"LP solves: networkx {iterations}" in out
+        assert "SMP sweeps" in out
+
     def test_size_infeasible_spec(self, capsys):
         from repro.__main__ import main
 
@@ -186,11 +215,15 @@ class TestCli:
         ["campaign", "run", "--circuits", "c17", "--warm-corpus"],
         ["campaign", "resume", "runs/none", "--warm-corpus"],
         ["serve", "--warm-corpus"],
+        ["size", "c17", "--spec", "0.6", "--flow-stats"],
+        ["campaign", "run", "--circuits", "c17", "--no-cache",
+         "--kind", "sizing"],
     ])
     def test_removed_options_are_usage_errors(self, capsys, command):
-        """The batched ``wphase`` kind, the engine selectors and the
-        warm-corpus switch are gone: asking for them is a parse-time
-        usage error, before any solve."""
+        """The batched ``wphase`` kind, the engine selectors, the
+        warm-corpus switch, the flow-solver totals and the job-kind
+        selector are gone: asking for them is a parse-time usage
+        error, before any solve."""
         from repro.__main__ import main
 
         assert main(command) == 2

@@ -12,14 +12,12 @@ from repro.flow import (
     BACKENDS,
     DifferenceConstraintLP,
     FlowProblem,
-    SolveStats,
     check_flow_feasible,
     check_flow_optimal,
     ground_flow,
     integerize_supplies,
     integerize_values,
     solve_difference_lp,
-    solver_statistics,
 )
 from repro.flow.duality import BACKEND_CHOICES, NETWORK_SIMPLEX_MAX_CONSTRAINTS
 
@@ -214,7 +212,17 @@ class TestBackendRegistry:
             solve_difference_lp(_chain_lp(cap), backend="scipy").objective
         )
 
-    def test_stats_recorded_on_every_solve(self):
+    def test_stats_recorded_on_every_solve(self, c17_gate_dag):
+        """Every solve names the solver that ran.  In a sizing run each
+        D-phase solve is one ``minflo.d_phase`` span that carries that
+        name, in step with its iteration record; no process-wide
+        counter keeps a second copy."""
+        from repro import flow
+        from repro.flow import duality
+        from repro.obs.trace import SpanSink, trace_scope
+        from repro.sizing import minflotransit
+        from repro.timing import analyze
+
         lp = DifferenceConstraintLP(
             n_nodes=3,
             weights=np.array([0.0, 1.0, -1.0]),
@@ -224,15 +232,26 @@ class TestBackendRegistry:
         lp.add(0, 2, 1.0)
         lp.add(1, 2, 3.0)
         lp.add(2, 0, 0.0)
-        before = solver_statistics().get("networkx")
-        solves_before = before.solves if before else 0
-        solution = solve_difference_lp(lp, backend="networkx")
-        assert isinstance(solution.stats, SolveStats)
-        assert solution.stats.backend == "networkx"
-        assert solution.stats.n_arcs == 4
-        assert solution.stats.wall_time_s >= 0.0
-        after = solver_statistics()["networkx"]
-        assert after.solves == solves_before + 1
+        for backend in BACKENDS:
+            solution = solve_difference_lp(lp, backend=backend)
+            assert solution.backend == backend
+            assert not hasattr(solution, "stats")
+        for module in (flow, duality):
+            for name in ("SolveStats", "solver_statistics", "stats_scope"):
+                assert not hasattr(module, name), name
+
+        dag = c17_gate_dag
+        d_min = analyze(dag, dag.min_sizes()).critical_path_delay
+        sink = SpanSink()
+        with trace_scope(sink=sink):
+            result = minflotransit(dag, 0.6 * d_min)
+        solves = [r for r in sink.drain() if r["name"] == "minflo.d_phase"]
+        assert [r["attrs"]["backend"] for r in solves] == [
+            rec.backend for rec in result.iterations
+        ]
+        assert [r["attrs"]["iteration"] for r in solves] == [
+            rec.iteration for rec in result.iterations
+        ]
 
 
 @pytest.mark.slow

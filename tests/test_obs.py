@@ -330,7 +330,8 @@ def _exposed_series(text: str, family: str) -> dict[tuple, float]:
 class TestStatsMetricsConsistency:
     """``/v1/stats`` is a *view* over the same registry cells the
     ``/v1/metrics`` exposition serializes — the two endpoints can never
-    disagree.  Pinned here for the per-backend flow stats."""
+    disagree.  Solver work is a view over each job's own spans, pinned
+    here for the D-phase flow solves."""
 
     def test_flow_views_match_exposition(self, tmp_path):
         from repro.service import SizingService
@@ -339,25 +340,34 @@ class TestStatsMetricsConsistency:
         try:
             # Two drifting targets: the second replays the first's
             # TILOS trajectory.
-            service.size_sync({"circuit": "rca:6", "delay_spec": 0.9})
-            service.size_sync({"circuit": "rca:6", "delay_spec": 0.85})
+            records = [
+                service.size_sync({"circuit": "rca:6", "delay_spec": spec})
+                for spec in (0.9, 0.85)
+            ]
             stats = service.stats()
             text = service.metrics_text()
         finally:
             service.close()
 
-        flow = stats["flow"]
-        assert flow, "sizing jobs recorded no flow stats"
-        for fields in flow.values():
-            # Every numeric SolveStats field is surfaced.
-            assert set(fields) == {"n_nodes", "n_arcs", "wall_time_s", "solves"}
-        exposed_flow = _exposed_series(text, "repro_flow_stat")
-        stats_flow = {
-            (("backend", backend), ("field", field_name)): float(value)
-            for backend, fields in flow.items()
-            for field_name, value in fields.items()
-        }
-        assert stats_flow == exposed_flow
+        # Each W/D iteration runs one D-phase LP solve: the payloads'
+        # iterations, the run-log summaries and the span-fed series
+        # all count the same solves.
+        iterations = [
+            len(record.payload["result"]["iterations"]) for record in records
+        ]
+        assert all(iterations)
+        assert [record.summary["flow_solves"] for record in records] == (
+            iterations
+        )
+        calls = _exposed_series(text, "repro_phase_calls_total")
+        seconds = _exposed_series(text, "repro_phase_seconds_total")
+        d_phase = (("phase", "minflo.d_phase"),)
+        assert calls[d_phase] == sum(iterations)
+        assert seconds[d_phase] > 0
+        assert calls[(("phase", "tilos.seed"),)] == len(records)
+        # No second channel: no flow gauge, no flow section.
+        assert "flow" not in stats
+        assert "repro_flow_stat" not in text
         # Spans are the one warm-start telemetry channel (``replayed``
         # on ``tilos.seed``): no counter, stats entry or option remains.
         assert "warmstart" not in stats

@@ -1,27 +1,22 @@
 """Tests for the parallel sizing-campaign subsystem (repro.runner)."""
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro import runner
 from repro.errors import RunnerError
-from repro.flow.duality import (
-    SolveStats,
-    record_stats,
-    reset_solver_statistics,
-    solver_statistics,
-    stats_scope,
-)
 from repro.runner import (
     CampaignSpec,
     Job,
     ResultCache,
+    executor,
     job_key,
     load_run,
     run_campaign,
 )
-from repro.runner.executor import _EXECUTORS
 from repro.runner.spec import normalize_options, resolve_circuit, tier_preset
 from repro.sizing import serialize
 
@@ -60,7 +55,8 @@ class TestSpec:
         with pytest.raises(RunnerError, match="positive"):
             Job(circuit="c17", delay_spec=0.0)
         with pytest.raises(RunnerError, match="kind"):
-            Job(circuit="c17", delay_spec=0.5, kind="quantum")
+            Job.from_dict({"circuit": "c17", "delay_spec": 0.5,
+                           "kind": "quantum"})
 
     @pytest.mark.parametrize("name", ["ssp", "ssp-legacy", "cplex"])
     def test_unknown_flow_backend_rejected_at_build(self, name):
@@ -83,14 +79,27 @@ class TestSpec:
         assert Job.from_dict(job.to_dict()) == job
 
     def test_wphase_kind_rejected(self):
-        """The batched ``wphase`` kind is gone from jobs and specs."""
-        from repro.runner.spec import JOB_KINDS
-
-        assert JOB_KINDS == ("sizing", "phases")
-        with pytest.raises(RunnerError, match="unknown job kind 'wphase'"):
-            Job(circuit="c17", delay_spec=0.6, kind="wphase")
-        with pytest.raises(RunnerError, match="unknown job kind 'wphase'"):
-            CampaignSpec(name="w", circuits=("c17",), kind="wphase")
+        """Jobs and specs have no ``kind``: every job is a sizing job.
+        Records stored while the field existed (``kind: "sizing"``)
+        still load; any retired kind (``wphase``, ``phases``) is
+        refused."""
+        for cls, base in (
+            (Job, {"circuit": "c17", "delay_spec": 0.6}),
+            (CampaignSpec, {"name": "w", "circuits": ["c17"],
+                            "delay_specs": [0.6]}),
+        ):
+            with pytest.raises(TypeError, match="kind"):
+                cls(**dict(base, kind="sizing"))
+            assert "kind" not in cls.from_dict(base).to_dict()
+            assert cls.from_dict(dict(base, kind="sizing")) == (
+                cls.from_dict(base)
+            )
+            for retired in ("wphase", "phases"):
+                with pytest.raises(
+                    RunnerError, match=f"unknown job kind '{retired}'"
+                ):
+                    cls.from_dict(dict(base, kind=retired))
+        assert " [" not in Job(circuit="c17", delay_spec=0.6).label()
 
     def test_normalize_options_rejects_unknown(self):
         with pytest.raises(RunnerError, match="unknown MinfloOptions"):
@@ -173,10 +182,10 @@ class TestExecutor:
         spec = small_spec()
         first = runner.run(spec, jobs=1, cache=tmp_path / "cache")
 
-        def boom(job):
+        def boom(job, cache=None):
             raise AssertionError("cache hit must not re-run the job")
 
-        monkeypatch.setitem(_EXECUTORS, "sizing", boom)
+        monkeypatch.setattr(executor, "_execute_sizing", boom)
         second = runner.run(spec, jobs=1, cache=tmp_path / "cache")
         assert second.n_cached == len(second.outcomes) == 2
         assert sizes_of(second) == sizes_of(first)
@@ -185,10 +194,10 @@ class TestExecutor:
         spec = small_spec()
         runner.run(spec, jobs=1, cache=tmp_path / "cache")
         calls = []
-        real = _EXECUTORS["sizing"]
-        monkeypatch.setitem(
-            _EXECUTORS, "sizing",
-            lambda job: calls.append(job) or real(job),
+        real = executor._execute_sizing
+        monkeypatch.setattr(
+            executor, "_execute_sizing",
+            lambda job, cache=None: calls.append(job) or real(job, cache),
         )
         result = runner.run(spec, jobs=1, cache=None)
         assert result.n_cached == 0
@@ -286,14 +295,79 @@ class TestExecutor:
             for key in j
         )
 
-    def test_per_job_flow_stats_are_isolated(self):
+    def test_per_job_flow_stats_are_isolated(self, tmp_path):
+        """A job's D-phase solve count is a view over its own payload:
+        each W/D iteration runs exactly one LP solve, which the job's
+        own ``minflo.d_phase`` spans confirm; the run log reports it as
+        ``flow_solves``.  No process-wide counter is involved, so no
+        other job can leak into it."""
         spec = small_spec()
-        result = runner.run(spec, jobs=1, cache=None)
+        result = runner.run(
+            spec, jobs=1, cache=None, run_dir=tmp_path / "run"
+        )
+        records = load_run(tmp_path / "run").records
+        spans = [
+            json.loads(line)
+            for line in (tmp_path / "run" / "trace.jsonl").open()
+        ]
         for outcome in result.outcomes:
-            flow = outcome.payload["flow_stats"]
-            assert flow, "sizing jobs must record their flow solves"
+            assert "flow_stats" not in outcome.payload
             iters = len(outcome.payload["result"]["iterations"])
-            assert sum(s["solves"] for s in flow.values()) == iters
+            assert iters > 0
+            assert records[outcome.index]["summary"]["flow_solves"] == iters
+            solves = [
+                s for s in spans
+                if s["trace"] == outcome.trace_id
+                and s["name"] == "minflo.d_phase"
+            ]
+            assert len(solves) == iters
+            assert [s["attrs"]["backend"] for s in solves] == [
+                rec["backend"]
+                for rec in outcome.payload["result"]["iterations"]
+            ]
+
+    def test_concurrent_jobs_match_serial_payloads(self):
+        """Jobs run at once on threads of one process produce the
+        payloads of serial runs: no job state is process-global.  A
+        tiny switch interval interleaves the threads at nearly every
+        bytecode, so a shared counter would mix jobs' numbers."""
+        jobs = [
+            Job(circuit="rca:4", delay_spec=0.6),
+            Job(circuit="c17", delay_spec=0.6),
+            Job(circuit="rca:8", delay_spec=0.6),
+            Job(circuit="rca:6", delay_spec=0.7),
+        ]
+
+        def comparable(job):
+            outcome = runner.run_one(job, cache=None)
+            assert outcome.status == "ok", outcome.error
+            return serialize.canonical_json(
+                serialize.comparable_payload(outcome.payload)
+            )
+
+        serial = [comparable(job) for job in jobs]
+        concurrent = [None] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
+
+        def worker(index):
+            barrier.wait(timeout=60)
+            concurrent[index] = comparable(jobs[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,), daemon=True)
+                for i in range(len(jobs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert concurrent == serial
 
 
 class TestRunOne:
@@ -308,7 +382,7 @@ class TestRunOne:
         cache = ResultCache(tmp_path / "cache")
         job = Job(circuit="c17", delay_spec=0.7)
         first = runner.run_one(job, cache=cache)
-        monkeypatch.setitem(_EXECUTORS, "sizing", lambda j: (
+        monkeypatch.setattr(executor, "_execute_sizing", lambda j, c=None: (
             (_ for _ in ()).throw(AssertionError("must replay"))
         ))
         second = runner.run_one(job, cache=cache)
@@ -337,22 +411,22 @@ class TestResume:
         spec = small_spec(name="resumable")
         clean = runner.run(spec, jobs=1, cache=None)
 
-        real = _EXECUTORS["sizing"]
+        real = executor._execute_sizing
         seen = []
 
-        def interrupt_second(job, **kwargs):
+        def interrupt_second(job, cache=None):
             seen.append(job)
             if len(seen) == 2:
                 raise KeyboardInterrupt
-            return real(job, **kwargs)
+            return real(job, cache)
 
-        monkeypatch.setitem(_EXECUTORS, "sizing", interrupt_second)
+        monkeypatch.setattr(executor, "_execute_sizing", interrupt_second)
         with pytest.raises(KeyboardInterrupt):
             runner.run(
                 spec, jobs=1,
                 cache=tmp_path / "cache", run_dir=tmp_path / "run",
             )
-        monkeypatch.setitem(_EXECUTORS, "sizing", real)
+        monkeypatch.setattr(executor, "_execute_sizing", real)
 
         state = load_run(tmp_path / "run")
         assert state.counts() == {"ok": 1, "pending": 1}
@@ -395,32 +469,6 @@ class TestResume:
         path.write_text(path.read_text() + '{"type": "job", "ind')
         state = load_run(tmp_path / "run")
         assert state.counts() == {"ok": 2}
-
-
-class TestStatsScope:
-    @pytest.fixture(autouse=True)
-    def _clean_totals(self):
-        reset_solver_statistics()
-        yield
-        reset_solver_statistics()
-
-    def test_scope_isolates_and_restores(self):
-        record_stats(SolveStats(backend="outer", solves=3))
-        with stats_scope() as scoped:
-            record_stats(SolveStats(backend="inner", solves=5))
-        assert set(scoped) == {"inner"}
-        assert scoped["inner"].solves == 5
-        totals = solver_statistics()
-        assert totals["outer"].solves == 3
-        assert totals["inner"].solves == 5
-
-    def test_nested_scopes(self):
-        with stats_scope() as outer:
-            record_stats(SolveStats(backend="a", solves=1))
-            with stats_scope() as inner:
-                record_stats(SolveStats(backend="a", solves=9))
-            assert inner["a"].solves == 9
-        assert outer["a"].solves == 10
 
 
 class TestCampaignCli:
@@ -501,9 +549,9 @@ class TestCampaignCli:
         from repro.experiments.figure7 import run_panel
 
         first = run_panel("c17", [0.7, 0.9], cache=tmp_path / "cache")
-        monkeypatch.setitem(
-            _EXECUTORS, "sizing",
-            lambda job: (_ for _ in ()).throw(
+        monkeypatch.setattr(
+            executor, "_execute_sizing",
+            lambda job, cache=None: (_ for _ in ()).throw(
                 AssertionError("cached point must not re-run")
             ),
         )
@@ -547,6 +595,32 @@ class TestCampaignCli:
         assert "malformed campaign header" in capsys.readouterr().err
         assert main(["campaign", "resume", "run"]) == 2
         assert "malformed campaign header" in capsys.readouterr().err
+
+    def test_status_and_resume_retired_kind_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """A run log written for the retired ``phases`` kind (the
+        scaling study's timing jobs) is a usage error, not a crash."""
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "campaign.jsonl").write_text(json.dumps({
+            "type": "campaign", "name": "scaling",
+            "spec": {
+                "name": "scaling", "circuits": ["rca:8", "rca:16"],
+                "delay_specs": [0.6], "flow_backends": ["auto"],
+                "kind": "phases", "mode": "gate", "options": [],
+            },
+            "n_jobs": 2, "labels": ["rca:8@0.6 [phases]",
+                                    "rca:16@0.6 [phases]"],
+            "keys": [None, None], "written_at": 0.0,
+        }) + "\n")
+        for command in ("status", "resume"):
+            assert main(["campaign", command, "run", "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unknown job kind 'phases'" in captured.err
+            assert "Traceback" not in captured.err
 
     def test_load_run_malformed_job_records_are_skipped(self, tmp_path):
         spec = small_spec(name="glitch")

@@ -13,8 +13,7 @@ import pytest
 from repro import runner
 from repro.__main__ import main
 from repro.errors import ServiceError
-from repro.runner import CampaignSpec, Job, execute_job
-from repro.runner.executor import _EXECUTORS
+from repro.runner import CampaignSpec, Job, execute_job, executor
 from repro.service import ServiceClient, SizingService, WorkQueue, make_server
 from repro.sizing.serialize import canonical_json, comparable_payload
 
@@ -74,10 +73,10 @@ class TestSizeEndpoint:
     def test_cache_hit_skips_sizing(self, live, monkeypatch):
         live.client.size(circuit="c17", delay_spec=0.8)
 
-        def boom(job):
+        def boom(job, cache=None):
             raise AssertionError("cache hit must not re-run the job")
 
-        monkeypatch.setitem(_EXECUTORS, "sizing", boom)
+        monkeypatch.setattr(executor, "_execute_sizing", boom)
         reply = live.client.size(circuit="c17", delay_spec=0.8)
         assert reply["status"] == "ok" and reply["cached"]
 
@@ -256,10 +255,10 @@ class TestJobQueue:
     def test_default_service_keeps_its_queue_in_the_run_dir(
         self, tmp_path, monkeypatch, capsys,
     ):
-        def boom(job):
+        def boom(job, cache=None):
             raise RuntimeError("sizing blew up")
 
-        monkeypatch.setitem(_EXECUTORS, "sizing", boom)
+        monkeypatch.setattr(executor, "_execute_sizing", boom)
         service = SizingService(jobs=1, cache=None, run_dir=tmp_path / "run")
         try:
             record = service.size_sync({"circuit": "c17", "delay_spec": 0.6})
@@ -494,5 +493,17 @@ class TestDiscovery:
         stats = live.client.stats()
         assert stats["jobs"].get("ok") == 2
         assert stats["cache_hits"] == 1 and stats["executed"] == 1
-        assert sum(s["solves"] for s in stats["flow"].values()) > 0
         assert stats["executor"]["kind"] == "thread"
+        # D-phase work is a view over the executed job's spans: one
+        # minflo.d_phase span per W/D iteration of its payload.
+        assert "flow" not in stats
+        payload = live.client.size(circuit="c17", delay_spec=0.6)["payload"]
+        calls = [
+            line for line in live.client.metrics().splitlines()
+            if line.startswith(
+                'repro_phase_calls_total{phase="minflo.d_phase"}'
+            )
+        ]
+        assert [float(line.rsplit(" ", 1)[1]) for line in calls] == [
+            float(len(payload["result"]["iterations"]))
+        ]

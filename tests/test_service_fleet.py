@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ServiceError
-from repro.runner import Job, execute_job
-from repro.runner.executor import _EXECUTORS, JobOutcome
+from repro.runner import Job, execute_job, executor
+from repro.runner.executor import JobOutcome
 from repro.service import ServiceClient, SizingService, make_server
 from repro.service.admission import AdmissionController, TokenBucket
 from repro.service.queue import MAX_ATTEMPTS, WorkQueue
@@ -223,8 +223,9 @@ class TestWireEnvelope:
                       dict(body, delay_spec=0.61 + i / 100))
             for i in range(4)
         ]
+        # Exactly the burst is admitted; the rest are refused.
+        assert [status for status, _, _ in replies] == [202, 202, 429, 429]
         rejected = [r for r in replies if r[0] == 429]
-        assert rejected, "flood past the burst must produce 429s"
         for status, headers, reply in rejected:
             assert reply["error"]["status"] == 429
             assert reply["error"]["retry_after"] > 0
@@ -299,13 +300,13 @@ class TestQueueModeService:
     def test_sync_wait_deadline_degrades_to_202(self, tmp_path,
                                                 monkeypatch):
         release = threading.Event()
-        original = _EXECUTORS["sizing"]
+        original = executor._execute_sizing
 
-        def stall(job):
+        def stall(job, cache=None):
             release.wait(30)
-            return original(job)
+            return original(job, cache)
 
-        monkeypatch.setitem(_EXECUTORS, "sizing", stall)
+        monkeypatch.setattr(executor, "_execute_sizing", stall)
         service = SizingService(
             jobs=1, cache=None, run_dir=tmp_path / "run",
             queue=tmp_path / "q.db", sync_wait=0.2,

@@ -17,6 +17,8 @@ never what it returns.  The suite drives the real executors end to end:
   the job's own trajectory, while result entries stay intact,
 * the hit path: one backend read, entries without a trajectory, and
   entries written with the retired embedded ``warm`` record still hit,
+* the timer counters of a seeded run live on its ``tilos.seed`` span,
+  never in the payload,
 * parallel ``jobs=N`` equals serial byte-for-byte.
 """
 
@@ -313,6 +315,30 @@ class TestHitPath:
         entry = cache.backend.get(seeded.key)
         assert set(entry) == {"cache_layout", "payload"}
         assert entry["cache_layout"] == CACHE_LAYOUT_VERSION
+
+
+class TestSeedTelemetry:
+    def test_seed_counters_live_on_the_span(self, tmp_path):
+        """A seeded run times only the bumps after its replay, so its
+        timer counters describe the execution, not the result: they
+        ride on the ``tilos.seed`` span, and the stored payload is the
+        same whatever the cache held."""
+        cache = ResultCache(tmp_path / "cache")
+        first, _ = _traced(Job("c432eq", 0.45), cache)
+        seeded, seeded_span = _traced(Job("c432eq", 0.42), cache)
+        cold, cold_span = _traced(Job("c432eq", 0.42), None)
+        assert seeded_span["replayed"] > 0
+        assert seeded_span["iterations"] == cold_span["iterations"]
+        assert (seeded_span["updates"] + seeded_span["replayed"]
+                == seeded_span["iterations"])
+        assert cold_span["replayed"] == 0
+        assert cold_span["updates"] == cold_span["iterations"]
+        for span_attrs in (seeded_span, cold_span):
+            assert span_attrs["repropagated_vertices"] > 0
+            assert 0.0 < span_attrs["cone_fraction"] < 0.5
+        for outcome in (first, seeded, cold):
+            assert "timing_stats" not in outcome.payload["seed"]
+        assert _comparable(seeded) == _comparable(cold)
 
 
 class TestParallelSerialParity:
