@@ -9,7 +9,7 @@ Commands
 ``campaign``  run/resume/inspect a parallel sizing campaign (run log +
               content-addressed result cache; see ``campaign --help``)
 ``serve``     run the JSON-over-HTTP sizing service (``repro.service``)
-``queue``     inspect/requeue a service queue's dead-letter jobs
+``queue``     inspect/requeue a campaign's or service's dead-letter jobs
 ``trace``     render a trace.jsonl span tree as a per-job waterfall
 ``table1``    regenerate the paper's Table 1 (alias of experiments.table1)
 ``figure7``   regenerate the paper's Figure 7 (alias of experiments.figure7)
@@ -556,7 +556,7 @@ def _add_campaign_parser(sub) -> None:
 
 
 def _cmd_queue_inspect(args: argparse.Namespace) -> int:
-    from repro.service.queue import WorkQueue
+    from repro.runner.queue import WorkQueue
 
     if not Path(args.db).exists():
         print(f"error: no queue database at {args.db}", file=sys.stderr)
@@ -594,7 +594,7 @@ def _cmd_queue_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_queue_requeue(args: argparse.Namespace) -> int:
     from repro.errors import ServiceError
-    from repro.service.queue import WorkQueue
+    from repro.runner.queue import WorkQueue
 
     if not args.job_ids and not args.all_failed:
         print("error: give JOB_ID(s) or --all-failed", file=sys.stderr)
@@ -626,12 +626,12 @@ def _cmd_queue_requeue(args: argparse.Namespace) -> int:
 def _add_queue_parser(sub) -> None:
     p_queue = sub.add_parser(
         "queue",
-        help="inspect/requeue a service queue's dead-letter jobs",
-        description="Operator tools for a service work-queue database "
-                    "(RUN_DIR/queue.db, or the serve --queue path): "
-                    "list permanently failed jobs with their attempt "
-                    "history, and send them back to the queue after "
-                    "fixing the cause.",
+        help="inspect/requeue a campaign's or service's dead-letter jobs",
+        description="Operator tools for a campaign's or service's "
+                    "work-queue database (RUN_DIR/queue.db, or the "
+                    "serve --queue path): list permanently failed jobs "
+                    "with their attempt history, and send them back to "
+                    "the queue after fixing the cause.",
     )
     queue_sub = p_queue.add_subparsers(dest="queue_command", required=True)
 

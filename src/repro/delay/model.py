@@ -111,10 +111,6 @@ class VertexDelayModel:
             )
         )
 
-    def transpose_rows(self) -> sparse.csr_matrix:
-        """CSR of ``A^T`` — used by the D-phase column-sum solve."""
-        return self.a_matrix.T.tocsr()
-
     def with_law(self, law: SizeLaw) -> "VertexDelayModel":
         """Same coefficients under a different size law."""
         return VertexDelayModel(

@@ -2,7 +2,7 @@
 
 One shared policy object serves every layer that talks to flaky
 storage or peers: :class:`~repro.runner.backends.TieredBackend` (shared
-cache tier), :class:`~repro.service.queue.WorkQueue` (sqlite lease/
+cache tier), :class:`~repro.runner.queue.WorkQueue` (sqlite lease/
 publish under contention), and :class:`~repro.service.client.
 ServiceClient` (dropped/truncated HTTP responses).  Delays follow
 ``base * 2**attempt``, capped at ``max_delay``, with multiplicative

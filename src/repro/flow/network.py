@@ -75,13 +75,6 @@ class FlowProblem:
         assert self.supply is not None
         return float(self.supply[self.supply > 0].sum())
 
-    def check_balanced(self, tol: float = 1e-9) -> None:
-        """Raise :class:`FlowError` unless supplies sum to ~zero."""
-        assert self.supply is not None
-        imbalance = float(self.supply.sum())
-        if abs(imbalance) > tol * max(1.0, self.total_positive_supply):
-            raise FlowError(f"supplies do not balance (sum = {imbalance:.6g})")
-
 
 @dataclass
 class FlowSolution:

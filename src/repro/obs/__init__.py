@@ -37,7 +37,6 @@ from repro.obs.trace import (
     TraceContext,
     current_carrier,
     current_trace,
-    emit_obs,
     format_trace_header,
     new_span_id,
     new_trace_id,
@@ -56,7 +55,6 @@ __all__ = [
     "TraceContext",
     "current_carrier",
     "current_trace",
-    "emit_obs",
     "format_trace_header",
     "get_registry",
     "new_span_id",

@@ -15,11 +15,10 @@ Propagation is explicit at every process boundary, because
   lifecycle root span and stores ``trace_id-root_id`` in the row; the
   draining replica (possibly another process, days later) parents its
   ``queue.wait`` / execution spans under that root.
-* **Process pools** — the parent passes a carrier dict (see
+* **Process pools** — the drainer passes a carrier dict (see
   :func:`current_carrier`) into ``pool_entry``; the worker buffers its
   spans in an in-memory :class:`SpanSink` and ships them back inside
-  the result tuple, where the parent re-emits them via
-  :func:`emit_obs`.
+  the result tuple, where the drainer appends them to its sink.
 
 Finished spans are JSON objects appended to ``trace.jsonl``::
 
@@ -54,7 +53,6 @@ __all__ = [
     "TraceContext",
     "current_carrier",
     "current_trace",
-    "emit_obs",
     "format_trace_header",
     "new_span_id",
     "new_trace_id",
@@ -259,19 +257,3 @@ class span:
             if ctx.sink is not None:
                 ctx.sink.emit(record)
         return False
-
-
-def emit_obs(obs: dict | None) -> None:
-    """Re-emit a worker's returned observability blob into the current
-    context's sink, if one is active.
-
-    Used by in-process callers of ``pool_entry`` so the worker's
-    ``{"spans": [...]}`` land in the same ``trace.jsonl`` as local
-    spans.
-    """
-    if not obs:
-        return
-    ctx = _CONTEXT.get()
-    if ctx is None or ctx.sink is None:
-        return
-    ctx.sink.emit_many(obs.get("spans") or ())

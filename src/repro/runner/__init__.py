@@ -2,8 +2,8 @@
 
 The paper's evidence is a sweep — many circuits × delay targets ×
 solver configurations.  This package turns such sweeps into declarative
-campaigns that run on a process pool, replay from a content-addressed
-result cache, and resume after interruption:
+campaigns that replay from a content-addressed result cache, run their
+misses through a durable work queue, and resume after interruption:
 
 * :mod:`repro.runner.spec` — :class:`CampaignSpec` → hashable
   :class:`Job` expansion (tier presets mirror ``REPRO_BENCH_TIER``);
@@ -11,8 +11,12 @@ result cache, and resume after interruption:
   options + schema versions;
 * :mod:`repro.runner.trajectory` — one TILOS trajectory record per
   sizing instance in the same store, which seeds repeated instances;
-* :mod:`repro.runner.executor` — pool execution with per-job timeout,
+* :mod:`repro.runner.executor` — cache probe, per-job timeout,
   failure isolation and deterministic result ordering;
+* :mod:`repro.runner.queue` / :mod:`repro.runner.drain` — the
+  :class:`~repro.runner.queue.WorkQueue` every cache miss becomes a
+  row of, and the one drainer that runs those rows, shared with the
+  sizing service (:mod:`repro.service`);
 * :mod:`repro.runner.progress` / :mod:`repro.runner.report` — JSONL
   run records, resume, status rendering.
 
@@ -41,7 +45,6 @@ from repro.runner.executor import (
     pool_entry,
     probe_cache,
     run_campaign,
-    run_one,
     store_outcome,
 )
 from repro.runner.progress import RunLog, RunState, load_run
@@ -86,7 +89,6 @@ __all__ = [
     "resume",
     "run",
     "run_campaign",
-    "run_one",
     "status_dict",
     "store_outcome",
     "tier_preset",
@@ -106,16 +108,19 @@ def run(
     append_log: bool = False,
     trace: bool = True,
 ) -> CampaignResult:
-    """Run a campaign end to end: cache probe, pool, JSONL streaming.
+    """Run a campaign end to end: cache probe, drain, JSONL streaming.
 
     ``cache`` may be a :class:`ResultCache`, a directory path, or None
     to disable caching entirely; ``run_dir`` (optional) receives the
-    ``campaign.jsonl`` run log that makes the campaign resumable plus
-    (with ``trace=True``) a ``trace.jsonl`` of per-job span trees
-    readable by ``python -m repro trace``.  With a cache, executed
-    jobs warm-start TILOS from the instance's stored trajectory, with
-    results bitwise identical to a cold run (see
-    :mod:`repro.runner.trajectory`).
+    ``campaign.jsonl`` run log that makes the campaign resumable, the
+    ``queue.db`` its misses ran through (``python -m repro queue
+    inspect``) and (with ``trace=True``) a ``trace.jsonl`` of per-job
+    span trees readable by ``python -m repro trace``.  With ``jobs > 1``
+    jobs run on ``forkserver``/``spawn`` worker processes, so a script
+    that calls this needs the ``if __name__ == "__main__":`` guard.
+    With a cache, executed jobs warm-start TILOS from the instance's
+    stored trajectory, with results bitwise identical to a cold run
+    (see :mod:`repro.runner.trajectory`).
     """
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
@@ -139,6 +144,7 @@ def run(
             on_outcome=log.record if log is not None else None,
             keys=keys,
             trace_sink=trace_sink,
+            run_dir=run_dir,
         )
     finally:
         if trace_sink is not None:

@@ -1,24 +1,29 @@
-"""Campaign execution: process pool, timeouts, failure isolation.
+"""Campaign execution: cache probe, the shared drainer, ordering.
 
 :func:`run_campaign` drives an expanded job list to completion:
 
 * **Cache probe first.**  Jobs whose content-addressed key already has
-  a stored payload never reach the pool — a repeated campaign is pure
-  cache replay.
+  a stored payload never reach a queue — a repeated campaign is pure
+  cache replay, with no database opened.
+* **One execution path.**  The misses become rows of a
+  :class:`~repro.runner.queue.WorkQueue` (``RUN_DIR/queue.db``, or a
+  temporary directory without a run directory), drained by the same
+  :class:`~repro.runner.drain.Drainer` the sizing service uses, in the
+  calling thread for ``jobs=1`` and on ``jobs`` threads otherwise (see
+  :mod:`repro.runner.drain` for where each job runs).  Sizing is
+  deterministic, so parallel and serial campaigns produce identical
+  payloads.
 * **Trajectory warm starts.**  An executed sizing job seeds TILOS
   from the instance's trajectory record in the same cache
   (:mod:`repro.runner.trajectory`); payloads equal cold runs.
-* **Process pool.**  Remaining jobs run on a
-  :class:`concurrent.futures.ProcessPoolExecutor` (``jobs=1`` runs
-  inline in-process, which is what the tests and the benchmarks use
-  for determinism-by-construction).  Sizing is deterministic, so
-  parallel and serial campaigns produce identical payloads.
-* **Per-job timeout.**  Enforced *inside* the worker via
-  ``SIGALRM``/``setitimer``, so a hung solve cannot wedge a pool slot
-  forever and the pool itself stays healthy.
+* **Per-job timeout.**  Enforced by :func:`pool_entry` via
+  ``SIGALRM``/``setitimer`` on a worker's main thread, so a hung solve
+  cannot wedge a worker forever.
 * **Failure isolation.**  A job that raises (or times out) becomes a
-  ``failed``/``timeout`` outcome carrying the traceback; the rest of
-  the campaign is unaffected.
+  ``failed``/``timeout`` outcome carrying the traceback; a job whose
+  worker process dies goes back to the queue, which dead-letters it
+  after ``max_attempts`` claims.  The rest of the campaign is
+  unaffected.
 * **Deterministic ordering.**  Outcomes are returned in job-expansion
   order no matter which worker finished first; streaming consumers
   (the JSONL run log) observe completion order but every record
@@ -32,30 +37,22 @@ MINFLOTRANSIT ``runtime_seconds``.
 
 from __future__ import annotations
 
-import multiprocessing
+import shutil
 import signal
 import sqlite3
+import tempfile
 import threading
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from repro.errors import JobTimeoutError, ReproError
-from repro.faults.injector import active as active_faults
-from repro.faults.injector import install_from_args, observe_faults, probe
-from repro.obs.metrics import get_registry
+from repro.faults.injector import install_from_args, probe
 from repro.obs.trace import (
     SpanSink,
-    current_carrier,
-    current_trace,
-    emit_obs,
+    format_trace_header,
     new_span_id,
     new_trace_id,
     span,
@@ -72,20 +69,12 @@ __all__ = [
     "pool_entry",
     "probe_cache",
     "run_campaign",
-    "run_one",
     "store_outcome",
 ]
 
 #: Outcome statuses that represent a finished computation (and are
 #: therefore cacheable); ``failed``/``timeout`` are not.
 COMPLETED_STATUSES = ("ok", "infeasible")
-
-#: Fresh-pool attempts after worker deaths before the surviving jobs
-#: are failed outright — bounds a crash-looping workload (and, under
-#: fault injection, caps how long an uncapped ``worker:kill`` rule can
-#: stall a campaign).
-MAX_POOL_RESTARTS = 8
-
 
 @dataclass(frozen=True)
 class JobOutcome:
@@ -224,7 +213,8 @@ def _watchdog_timeout(fn, timeout: float):
     """Portable wall-time budget: run ``fn`` in a daemon thread.
 
     The fallback for platforms without ``SIGALRM`` and for calls off
-    the main thread (service drain threads, embeddings).  On expiry
+    the main thread (embeddings; the drainer runs every timed job on a
+    worker process's main thread).  On expiry
     the *caller* gets :class:`JobTimeoutError` immediately; the
     abandoned thread cannot be killed (CPython has no thread cancel)
     and is left to finish in the background — its result is discarded.
@@ -260,8 +250,8 @@ def _with_timeout(fn, timeout: float | None):
 
     On a POSIX main thread the budget is ``SIGALRM``/``setitimer`` —
     it interrupts even a wedged C call.  Everywhere else (non-unix
-    platforms, service drain threads executing inline) the budget
-    is a watchdog thread (:func:`_watchdog_timeout`), so a timeout is
+    platforms, calls off the main thread) the budget is a watchdog
+    thread (:func:`_watchdog_timeout`), so a timeout is
     *always* enforced rather than silently skipped.
 
     The alarm handler records that it fired before it raises: an
@@ -323,8 +313,9 @@ def pool_entry(
 
     Returns ``(status, payload, error, wall_seconds, obs)`` — a plain
     tuple of primitives so it pickles cleanly back across the process
-    pool.  The campaign pool and the sizing service both submit this
-    exact callable, which is what keeps their results identical.
+    pool.  The drainer (:mod:`repro.runner.drain`) calls it for every
+    campaign job and every service request, in-thread or on a worker
+    process, which is what keeps their results identical.
 
     ``trace`` is an optional :func:`~repro.obs.trace.current_carrier`
     dict; when given, the job executes inside the propagated trace
@@ -346,8 +337,8 @@ def pool_entry(
     because a forkserver started before ``install`` would never see
     the parent's environment variables.  The ``worker`` probe fires
     inside the job's wall-time budget (a ``kill`` exits the process, a
-    ``hang`` is bounded by the timeout), and fault events from worker
-    *processes* ship home under ``obs["faults"]`` for the parent's
+    ``hang`` is bounded by the timeout), and the fault events of a task
+    given ``faults`` ship home under ``obs["faults"]`` for the parent's
     metrics.
     """
     injector = install_from_args(faults)
@@ -384,12 +375,11 @@ def pool_entry(
         status = "failed"
         error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
     obs: dict | None = None
+    # Only pool tasks get ``faults`` handed over; in-thread execution
+    # already counted its fires in the shared registry.
     fault_events = (
         injector.drain_events()
-        if injector is not None
-        # In-process (thread-pool) execution already counted the fires
-        # in the shared registry; shipping them would double-count.
-        and multiprocessing.parent_process() is not None
+        if injector is not None and faults is not None
         else None
     )
     if sink is not None or fault_events:
@@ -448,59 +438,6 @@ def store_outcome(outcome: JobOutcome, cache: ResultCache | None) -> None:
         cache.put(outcome.key, outcome.payload)
 
 
-_UNRESOLVED = object()  # sentinel: run_one must compute the key itself
-
-
-def run_one(
-    job: Job,
-    cache: ResultCache | None = None,
-    timeout: float | None = None,
-    index: int = 0,
-    key: str | None | object = _UNRESOLVED,
-) -> JobOutcome:
-    """Run a single job in this process: probe, execute, store.
-
-    The one-job counterpart of :func:`run_campaign`, and the execution
-    path the sizing service (:mod:`repro.service`) shares with the
-    campaign loop: cache probe first, then :func:`pool_entry` (failure
-    isolation + wall-time budget), then the cache write — so a service
-    request and a campaign job with the same fingerprint produce (and
-    reuse) the identical cache entry.
-
-    ``key`` may be passed in by callers that already computed it (the
-    service does, to log it); by default it is derived here, and a job
-    whose circuit token cannot resolve simply executes uncached and
-    fails in isolation, exactly like a campaign job would.  A cache hit
-    reads the backend once; a miss also reads (and may write) the
-    instance's TILOS trajectory record.
-    """
-    if key is _UNRESOLVED:
-        key = campaign_keys([job], cache)[0]
-    ctx = current_trace()
-    hit = probe_cache(job, key, cache, index=index)
-    if hit is not None:
-        if ctx is not None:
-            hit = replace(hit, trace_id=ctx.trace_id)
-        return hit
-    status, payload, error, wall, obs = pool_entry(
-        job, timeout, current_carrier(), cache
-    )
-    emit_obs(obs)
-    outcome = JobOutcome(
-        index=index,
-        job=job,
-        key=key,
-        status=status,
-        cached=False,
-        wall_seconds=wall,
-        payload=payload,
-        error=error,
-        trace_id=ctx.trace_id if ctx is not None else None,
-    )
-    store_outcome(outcome, cache)
-    return outcome
-
-
 def campaign_keys(
     job_list: list[Job], cache: ResultCache | None
 ) -> list[str | None]:
@@ -537,30 +474,39 @@ def run_campaign(
     on_outcome=None,
     keys: list[str | None] | None = None,
     trace_sink: SpanSink | None = None,
+    run_dir: str | Path | None = None,
 ) -> CampaignResult:
     """Run a campaign; returns outcomes in job-expansion order.
 
-    ``jobs`` is the worker-process count (1 = inline, no pool);
+    ``jobs`` is the drain-thread and worker-process count (1 = the
+    calling thread; see :mod:`repro.runner.drain` for where jobs run);
     ``cache`` short-circuits jobs whose key is already stored and
     receives every newly completed payload; ``timeout`` is the per-job
     wall-time budget in seconds; ``on_outcome`` is called once per
-    outcome *in completion order* (the JSONL streamer hooks in here);
-    ``keys`` are precomputed :func:`campaign_keys` (computing a key
-    builds the circuit, so callers that already did — e.g. to write the
-    run-log header — pass them in rather than paying twice).
+    outcome *in completion order*, never from two threads at once (the
+    JSONL streamer hooks in here); ``keys`` are precomputed
+    :func:`campaign_keys` (computing a key builds the circuit, so
+    callers that already did — e.g. to write the run-log header — pass
+    them in rather than paying twice).  The misses go through
+    ``run_dir/queue.db``, emptied first, which ``python -m repro queue
+    inspect`` reads afterwards; without a ``run_dir`` the queue lives
+    in a temporary directory removed on return.
 
     ``trace_sink`` enables tracing: every job gets its own trace id
-    and a root ``job`` span; worker-side spans ship back through the
-    result tuples and land in the sink (the run directory's
-    ``trace.jsonl``) as children of that root.  Payloads, cache
-    entries and the run digest are byte-identical with tracing on or
-    off.
+    and a root ``job`` span; an executed job's ``queue.wait``,
+    ``cache.probe`` and worker-side spans land in the sink (the run
+    directory's ``trace.jsonl``) as children of that root.  Payloads,
+    cache entries and the run digest are byte-identical with tracing on
+    or off.
 
     Every executed job seeds its TILOS run from the instance's
     trajectory record in ``cache`` and stores its own back when it got
     further (payloads stay bitwise-identical to cold runs), so a
     drifting sweep warms itself up as it goes.
     """
+    from repro.runner.drain import Drainer, emit_job_span
+    from repro.runner.queue import WorkQueue
+
     if isinstance(spec, CampaignSpec):
         name = spec.name
         job_list = spec.jobs()
@@ -569,152 +515,79 @@ def run_campaign(
         job_list = list(spec)
     if keys is None:
         keys = campaign_keys(job_list, cache)
-
-    result = CampaignResult(name=name)
     slots: list[JobOutcome | None] = [None] * len(job_list)
+    lock = threading.Lock()
 
-    tracing = trace_sink is not None
-    trace_ids: dict[int, tuple[str, str]] = (
-        {i: (new_trace_id(), new_span_id()) for i in range(len(job_list))}
-        if tracing
-        else {}
-    )
+    def finish(outcome: JobOutcome) -> None:
+        with lock:
+            slots[outcome.index] = outcome
+            if on_outcome is not None:
+                on_outcome(outcome)
 
-    def carrier_for(index: int) -> dict | None:
-        if not tracing:
-            return None
-        trace_id, root_id = trace_ids[index]
-        return {"trace_id": trace_id, "parent_id": root_id}
-
-    def finish(outcome: JobOutcome, obs: dict | None = None) -> None:
-        observe_faults(get_registry(), (obs or {}).get("faults"))
-        if tracing:
-            trace_id, root_id = trace_ids[outcome.index]
-            outcome = replace(outcome, trace_id=trace_id)
-            records = list((obs or {}).get("spans") or ())
-            records.append({
-                "type": "span",
-                "trace": trace_id,
-                "id": root_id,
-                "parent": None,
-                "name": "job",
-                "ts": time.time() - outcome.wall_seconds,
-                "duration_s": outcome.wall_seconds,
-                "attrs": {
-                    "index": outcome.index,
-                    "label": outcome.job.label(),
-                    "status": outcome.status,
-                    "cached": outcome.cached,
-                },
-            })
-            trace_sink.emit_many(records)
-        slots[outcome.index] = outcome
-        store_outcome(outcome, cache)
-        if on_outcome is not None:
-            on_outcome(outcome)
-
-    pending: list[tuple[int, Job, str | None]] = []
+    pending: list[int] = []
     for index, job in enumerate(job_list):
-        key = keys[index]
-        hit = probe_cache(job, key, cache, index=index)
-        if hit is not None:
-            finish(hit)
-        else:
-            pending.append((index, job, key))
-
-    fault_injector = active_faults()
-    fault_args = (
-        fault_injector.config_args() if fault_injector is not None else None
-    )
-
-    if pending and jobs <= 1:
-        for index, job, key in pending:
-            status, payload, error, wall, obs = pool_entry(
-                job, timeout, carrier_for(index), cache
+        hit = probe_cache(job, keys[index], cache, index=index)
+        if hit is None:
+            pending.append(index)
+            continue
+        if trace_sink is not None:
+            trace_id, now = new_trace_id(), time.time()
+            emit_job_span(
+                trace_sink, trace_id, new_span_id(), now, now,
+                index=index, label=job.label(), status=hit.status,
+                cached=True,
             )
-            finish(JobOutcome(
-                index=index,
-                job=job,
-                key=key,
-                status=status,
-                cached=False,
-                wall_seconds=wall,
-                payload=payload,
-                error=error,
-            ), obs)
-    elif pending:
-        cache_spec = cache.describe() if cache is not None else None
-        queue_items = list(pending)
-        restarts = 0
-        while queue_items:
-            broken: list[tuple[int, Job, str | None]] = []
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    pool.submit(
-                        pool_entry, job, timeout, carrier_for(index),
-                        cache_spec, fault_args,
-                    ): (index, job, key)
-                    for index, job, key in queue_items
-                }
-                remaining = set(futures)
-                while remaining:
-                    done, remaining = wait(
-                        remaining, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        index, job, key = futures[future]
-                        obs = None
-                        try:
-                            status, payload, error, wall, obs = future.result()
-                        except BrokenExecutor:
-                            # A worker died (SIGKILL, OOM, injected
-                            # kill): every in-flight job's future breaks
-                            # at once.  Collect them for a fresh pool
-                            # instead of failing the campaign.
-                            broken.append((index, job, key))
-                            continue
-                        except Exception as exc:
-                            status, payload, wall = "failed", None, 0.0
-                            error = f"{type(exc).__name__}: {exc}"
-                        finish(JobOutcome(
-                            index=index,
-                            job=job,
-                            key=key,
-                            status=status,
-                            cached=False,
-                            wall_seconds=wall,
-                            payload=payload,
-                            error=error,
-                        ), obs)
-            if not broken:
-                break
-            # A worker killed between its cache put and returning may
-            # already have stored its result — re-probe before re-running
-            # so the crash-resume replays instead of recomputing.
-            queue_items = []
-            for index, job, key in sorted(broken):
-                hit = probe_cache(job, key, cache, index=index)
-                if hit is not None:
-                    finish(hit)
-                else:
-                    queue_items.append((index, job, key))
-            restarts += 1
-            if queue_items and restarts >= MAX_POOL_RESTARTS:
-                for index, job, key in queue_items:
-                    finish(JobOutcome(
-                        index=index,
-                        job=job,
-                        key=key,
-                        status="failed",
-                        cached=False,
-                        wall_seconds=0.0,
-                        payload=None,
-                        error=(
-                            f"worker process died repeatedly; gave up "
-                            f"after {restarts} pool restarts"
-                        ),
-                    ))
-                break
+            hit = replace(hit, trace_id=trace_id)
+        finish(hit)
+    if not pending:
+        return CampaignResult(name=name, outcomes=slots)
 
-    result.outcomes = [slot for slot in slots if slot is not None]
-    return result
+    owned = None if run_dir is not None else tempfile.mkdtemp(
+        prefix="repro-campaign-"
+    )
+    db = Path(run_dir if run_dir is not None else owned) / "queue.db"
+    for suffix in ("", "-wal", "-shm"):  # each invocation starts empty
+        db.with_name(db.name + suffix).unlink(missing_ok=True)
+    store = WorkQueue(db)
+    try:
+        rows = {
+            store.create(
+                job_list[index], keys[index],
+                trace=(
+                    format_trace_header(new_trace_id(), new_span_id())
+                    if trace_sink is not None else None
+                ),
+            ).id: index
+            for index in pending
+        }
+        drainer = Drainer(
+            store, cache, jobs=max(1, jobs), timeout=timeout,
+            trace=trace_sink is not None, trace_sink=trace_sink,
+            on_finish=lambda record, outcome: finish(
+                replace(outcome, index=rows[record.id])
+            ),
+        )
+        try:
+            drainer.run(lambda: store.closed or store.depth() == 0)
+        finally:
+            drainer.close()
+        # Dead-lettered rows never come back through a drain round.
+        for job_id, index in rows.items():
+            if slots[index] is None:
+                record = store.get(job_id)
+                finish(JobOutcome(
+                    index=index,
+                    job=job_list[index],
+                    key=keys[index],
+                    status="failed",
+                    cached=False,
+                    wall_seconds=0.0,
+                    payload=None,
+                    error=record.error,
+                    trace_id=record.trace_id,
+                ))
+    finally:
+        store.close()
+        if owned is not None:
+            shutil.rmtree(owned, ignore_errors=True)
+    return CampaignResult(name=name, outcomes=slots)

@@ -1,17 +1,21 @@
-"""The service's job store: one durable sqlite queue per job stream.
+"""The job store every cache miss runs through: one durable sqlite queue.
 
-Every request admitted by the sizing service becomes a row in a
+Every job that misses the result cache becomes a row in a
 :class:`WorkQueue` — one SQLite database (WAL mode) that any number of
-*serve processes* may open concurrently.  A standalone service keeps
-its queue in its run directory (or in a temporary directory without
-one); replicas given the same ``--queue`` path share one job stream.
-A submission enqueues a ``queued`` row; drain workers — in any
-replica — claim work with :meth:`WorkQueue.lease`, which atomically
-flips the oldest claimable row to ``running`` under a **visibility
-timeout**: if the leasing worker dies (process crash, power cut,
-restart), the lease expires and another worker re-claims the job, so a
-job submitted anywhere eventually runs somewhere.  Execution is
-therefore *at-least-once*; results are deterministic and
+processes may open concurrently.  A campaign keeps its queue in its
+run directory (or in a temporary directory without one) and starts it
+empty on every ``run``/``resume``; a standalone service keeps its
+queue in its run directory too, and replicas given the same
+``--queue`` path share one job stream.
+A submission enqueues a ``queued`` row; drain workers
+(:mod:`repro.runner.drain`) claim work with :meth:`WorkQueue.lease`,
+which atomically flips the oldest claimable row to ``running`` under a
+**visibility timeout**: if the leasing worker dies (process crash,
+power cut, restart), the lease expires and another worker re-claims
+the job, so a job submitted anywhere eventually runs somewhere.  A
+drainer that sees its worker process die hands the row back at once
+with :meth:`WorkQueue.release` instead of waiting out the lease.
+Execution is therefore *at-least-once*; results are deterministic and
 content-addressed, so a double execution settles on byte-identical
 cache entries and the second ``finish`` is a harmless overwrite.
 
@@ -21,20 +25,20 @@ is what lets ``GET /v1/jobs/<id>`` answer after a restart, or on any
 replica for a job another replica executed — even with caching
 disabled.  A cache replay is recorded as one row inserted already
 finished, without the payload column: the payload lives in the cache
-it was just read from.  A job whose lease expired ``max_attempts``
-times (default :data:`MAX_ATTEMPTS`, operator-tunable via ``serve
---max-attempts``) is failed permanently rather than crash-looping the
-fleet; every reclaim and failure is appended to the row's ``history``
-column, so the dead-letter tooling (``python -m repro queue inspect``)
-can show *why* a job went poison and ``queue requeue`` can send it
-back after a fix.
+it was just read from.  A job claimed ``max_attempts`` times (default
+:data:`MAX_ATTEMPTS`, operator-tunable via ``serve --max-attempts``)
+whose last attempt also died is failed permanently rather than
+crash-looping its workers; every reclaim and failure is appended to
+the row's ``history`` column, so the dead-letter tooling (``python -m
+repro queue inspect``) can show *why* a job went poison and ``queue
+requeue`` can send it back after a fix.
 
 Waiting is event-driven within one process: each instance notifies a
 condition variable on :meth:`WorkQueue.create`,
-:meth:`WorkQueue.finish`, :meth:`WorkQueue.requeue` and
-:meth:`WorkQueue.close`, so idle drain workers and
-:meth:`WorkQueue.wait` callers wake on the transition.  Changes made
-by other processes are picked up by re-reading every
+:meth:`WorkQueue.finish`, :meth:`WorkQueue.release`,
+:meth:`WorkQueue.requeue` and :meth:`WorkQueue.close`, so idle drain
+workers and :meth:`WorkQueue.wait` callers wake on the transition.
+Changes made by other processes are picked up by re-reading every
 :data:`POLL_INTERVAL` seconds.
 
 Queue sqlite operations run under a shared retry policy
@@ -592,11 +596,18 @@ class WorkQueue:
             ).fetchone()
             if row is None:
                 return "empty", None
+            # A released lease (expiry 0) means the worker died; any
+            # other expired lease means nobody finished it in time.
+            cause = (
+                "its worker process died"
+                if row["lease_expires"] == 0
+                else f"its lease expired (visibility timeout "
+                f"{self.visibility_timeout:g}s)"
+            )
             if row["attempts"] >= self.max_attempts:
                 error = (
-                    f"lease expired {row['attempts']} times "
-                    f"(visibility timeout {self.visibility_timeout:g}s); "
-                    f"job failed permanently"
+                    f"job failed permanently after {row['attempts']} "
+                    f"attempts; the last one ended because {cause}"
                 )
                 conn.execute(
                     "UPDATE jobs SET status = 'failed', error = ?, "
@@ -616,6 +627,7 @@ class WorkQueue:
                     "event": "reclaim",
                     "from_owner": row["lease_owner"],
                     "attempt": row["attempts"],
+                    "cause": cause,
                     "ts": now,
                 })
                 if self._m_reclaims is not None:
@@ -630,6 +642,24 @@ class WorkQueue:
                 "SELECT * FROM jobs WHERE seq = ?", (row["seq"],)
             ).fetchone()
         return "claimed", claimed
+
+    def release(self, job_id: str) -> None:
+        """Hand a leased job back at once: its worker process died.
+
+        The lease is marked expired, so the next :meth:`lease` re-claims
+        the row through the reclaim path (history entry, reclaim count,
+        one more attempt) — or fails it permanently once it has used
+        its ``max_attempts``.
+        """
+        def _write() -> None:
+            with self._txn() as conn:
+                conn.execute(
+                    "UPDATE jobs SET lease_expires = 0 "
+                    "WHERE id = ? AND status = 'running'", (job_id,),
+                )
+
+        call_with_retry(_write, _QUEUE_RETRY, "queue.publish")
+        self._notify()
 
     def _quarantine_row(self, seq: int, error: str) -> None:
         """Permanently fail a row whose job column does not parse."""

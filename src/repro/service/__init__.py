@@ -7,14 +7,13 @@ instead of batch-only.  This package is that process:
 
 * :mod:`repro.service.app` — :class:`SizingService`: request
   validation into campaign :class:`~repro.runner.spec.Job` records,
-  cache probe/store, drain workers over a bounded worker pool.  One
-  execution path shared with ``python -m repro campaign`` (see
-  :func:`repro.runner.executor.run_one`), so service answers are
-  byte-identical to CLI answers.
-* :mod:`repro.service.queue` — the one job store: a durable sqlite
-  :class:`~repro.service.queue.WorkQueue` in the run directory (or
-  shared by a fleet via ``--queue``) that every request enters and
-  every drain worker leases from; job history survives restarts.
+  cache probe, and drain threads running the campaign's own drainer
+  (:class:`repro.runner.drain.Drainer`), so service answers are
+  byte-identical to CLI answers.  Its job store is the durable sqlite
+  :class:`~repro.runner.queue.WorkQueue` (re-exported here) in the run
+  directory, or shared by a fleet via ``--queue``: every request
+  enters it, every drain worker leases from it, and job history
+  survives restarts.
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer``
   front end (``POST /v1/size``, ``GET /v1/jobs/<id>``, discovery,
   health, stats) and :func:`serve`, the ``python -m repro serve``
@@ -27,9 +26,9 @@ scaling follow-up (sharding, rate limiting, multi-tenant caching)
 layers onto this surface.
 """
 
+from repro.runner.queue import JobRecord, WorkQueue
 from repro.service.app import SizingService, build_job
 from repro.service.client import ServiceClient
-from repro.service.queue import JobRecord, WorkQueue
 from repro.service.server import (
     WIRE_SCHEMA,
     SizingHTTPServer,

@@ -5,32 +5,30 @@ long-lived, concurrent request/response engine.  It owns no sizing
 logic of its own — a request is validated into the same frozen
 :class:`~repro.runner.spec.Job` a campaign would expand, keyed with the
 same content-addressed fingerprint, probed against the same
-:class:`~repro.runner.cache.ResultCache`, and executed through the same
-:func:`~repro.runner.executor.pool_entry` wrapper (failure isolation +
-per-job wall-time budget).  That single shared execution path is the
-service's core guarantee: a ``POST /v1/size`` returns results
-byte-identical to ``python -m repro size`` / ``campaign run`` for the
-same (netlist, technology, options), and repeated requests are cache
-hits.
+:class:`~repro.runner.cache.ResultCache`, and executed by the same
+:class:`~repro.runner.drain.Drainer` a campaign's misses run through
+(failure isolation + per-job wall-time budget).  That single shared
+execution path is the service's core guarantee: a ``POST /v1/size``
+returns results byte-identical to ``python -m repro size`` /
+``campaign run`` for the same (netlist, technology, options), and
+repeated requests are cache hits.
 
 Dispatch: every admitted job is a row in the service's one job store,
-a durable :class:`~repro.service.queue.WorkQueue` — the ``queue``
+a durable :class:`~repro.runner.queue.WorkQueue` — the ``queue``
 database when one is given, else ``queue.db`` in the run directory,
 else in a temporary directory the service removes on close.  ``jobs``
-drain threads lease rows (leasing + visibility timeout, so a job whose
-worker died — or whose service restarted — is re-claimed), execute
-them on the local pool and publish results through the queue and the
-cache.  Replicas given the same ``queue`` path drain one shared job
-stream, and any replica answers for any job.  With ``jobs=1`` and no
-per-job timeout (the default) the pool is one dedicated worker
-*thread* — serialized, deterministic, and cheap to start, which is
-what the tests use.  With ``jobs>1`` — or whenever a ``timeout`` is
-configured, since the ``SIGALRM`` budget can only be armed on a
-process's main thread — it is a ``ProcessPoolExecutor``
-(``forkserver``/``spawn`` start method, so the threaded HTTP parent
-never fork-copies its own locks), giving true parallel sizing bounded
-at ``jobs`` workers.  The HTTP layer may accept arbitrarily many
-concurrent requests; admission control
+drain threads work the rows off with the same
+:class:`~repro.runner.drain.Drainer` a campaign uses (leasing +
+visibility timeout, so a job whose service restarted is re-claimed;
+a job whose worker process died goes straight back to the queue until
+``max_attempts``), publishing results through the queue and the cache.
+Replicas given the same ``queue`` path drain one shared job stream,
+and any replica answers for any job.  With ``jobs=1`` and no per-job
+timeout (the default) each job runs in the drain thread itself —
+serialized, deterministic, and cheap, which is what the tests use.
+Otherwise jobs run on a ``forkserver``/``spawn`` process pool of
+``jobs`` workers (see :mod:`repro.runner.drain`).  The HTTP layer may
+accept arbitrarily many concurrent requests; admission control
 (:class:`~repro.service.admission.AdmissionController`) bounds the
 backlog and rate-limits individual clients, and cache hits bypass it,
 because replaying a stored result consumes no worker.
@@ -50,18 +48,10 @@ execution spans under the submitter's root — one trace id end to end.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
 import shutil
-import socket
 import tempfile
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterator
@@ -70,12 +60,10 @@ from repro.circuit.bench_io import loads_bench
 from repro.errors import ReproError, ServiceError
 from repro.faults.injector import active as active_faults
 from repro.faults.injector import install as install_faults
-from repro.faults.injector import observe_faults
 from repro.flow.duality import check_backend
-from repro.obs.metrics import MetricsRegistry, get_registry, observe_spans
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import (
     SpanSink,
-    current_carrier,
     current_trace,
     format_trace_header,
     new_span_id,
@@ -84,20 +72,16 @@ from repro.obs.trace import (
 )
 from repro.runner import DEFAULT_CACHE_DIR
 from repro.runner.cache import ResultCache, job_key, netlist_digest
-from repro.runner.executor import (
-    JobOutcome,
-    pool_entry,
-    probe_cache,
-    store_outcome,
-)
-from repro.runner.spec import Job, normalize_options
-from repro.service.admission import AdmissionController
-from repro.service.queue import (
+from repro.runner.drain import Drainer
+from repro.runner.executor import JobOutcome, probe_cache
+from repro.runner.queue import (
     JOB_STATUSES,
     MAX_ATTEMPTS,
     JobRecord,
     WorkQueue,
 )
+from repro.runner.spec import Job, normalize_options
+from repro.service.admission import AdmissionController
 
 __all__ = ["SizingService", "build_job"]
 
@@ -219,7 +203,8 @@ class SizingService:
     """Long-lived sizing engine behind the HTTP API (and usable directly).
 
     Parameters mirror ``python -m repro serve``: ``jobs`` is the worker
-    count (1 = one dedicated thread, >1 = a process pool), ``cache`` a
+    count (1 without a timeout = the drain thread itself, else a
+    process pool), ``cache`` a
     :class:`ResultCache`, a backend spec string (``disk:`` /
     ``sqlite:`` / ``tiered:``), a path, or None; ``run_dir`` the
     directory that receives the restart-surviving ``queue.db`` job
@@ -244,12 +229,13 @@ class SizingService:
     (see :mod:`repro.runner.trajectory`).
 
     Failure handling: ``max_attempts`` bounds how many times the queue
-    re-leases a job before poison-parking it in the dead-letter state;
+    leases a job before poison-parking it in the dead-letter state;
     ``faults``/``fault_seed`` install a deterministic fault-injection
     schedule (``--faults``; see :mod:`repro.faults`) for chaos drills.
     A worker death (real or injected) never bricks the replica — the
-    broken process pool is swapped for a fresh one and the job retried
-    once (``repro_pool_rebuilds_total``).
+    broken process pool is swapped for a fresh one
+    (``repro_pool_rebuilds_total``) and the job goes back to the queue
+    for its next attempt.
     """
 
     def __init__(
@@ -327,10 +313,6 @@ class SizingService:
             "HTTP requests served, by method, route and status code.",
             ("method", "route", "code"),
         )
-        self._m_pool_rebuilds = self.metrics.counter(
-            "repro_pool_rebuilds_total",
-            "Fresh worker pools swapped in after a worker process died.",
-        )
         if self.run_dir is not None:
             self._netlist_dir = self.run_dir / "netlists"
         else:
@@ -350,23 +332,19 @@ class SizingService:
             quota_burst=quota_burst,
             metrics=self.metrics,
         )
-        self._pool = self._make_pool(jobs, timeout)
-        # The job's cache as pool tasks see it: this instance (sharing
-        # its breaker) on the worker thread, a spec string that process
-        # workers reopen.
-        self._job_cache = (
-            self.cache.describe()
-            if self.cache is not None
-            and isinstance(self._pool, ProcessPoolExecutor)
-            else self.cache
-        )
         self._lock = threading.Lock()
         self._digests: dict[str, str] = {}
         self._started_at = time.time()
-        self.worker_id = f"{socket.gethostname()}:{os.getpid()}"
+        self.drainer = Drainer(
+            self.store, self.cache, jobs=jobs, timeout=timeout,
+            trace=self.trace, trace_sink=self.trace_sink,
+            metrics=self.metrics, on_finish=self._account,
+        )
+        self.worker_id = self.drainer.worker_id
         self._drainers = [
             threading.Thread(
-                target=self._drain_loop,
+                target=self.drainer.drain,
+                args=(lambda: self.store.closed,),
                 name=f"repro-service-drain-{index}",
                 daemon=True,
             )
@@ -374,78 +352,6 @@ class SizingService:
         ]
         for thread in self._drainers:
             thread.start()
-
-    @staticmethod
-    def _make_pool(jobs: int, timeout: float | None):
-        if jobs == 1 and timeout is None:
-            # A timeout forces the process pool below: the SIGALRM
-            # budget in pool_entry only arms on a main thread, so on a
-            # worker *thread* it would be silently unenforced.
-            return ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-service-worker"
-            )
-        # Never fork the threaded HTTP parent: a fork taken while
-        # another handler thread holds an internal lock can deadlock
-        # the child.  forkserver (Linux) / spawn (everywhere) start
-        # workers from a clean process instead.
-        methods = multiprocessing.get_all_start_methods()
-        method = "forkserver" if "forkserver" in methods else "spawn"
-        return ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context(method)
-        )
-
-    def _rebuild_pool(self, broken) -> None:
-        """Swap a broken executor for a fresh pool (idempotent).
-
-        Many threads can observe the same death; only the first one to
-        arrive swaps the pool, the rest see the already-fresh executor
-        and simply resubmit.
-        """
-        with self._lock:
-            if self._pool is not broken:
-                return
-            self._pool = self._make_pool(self.jobs, self.timeout)
-            self._m_pool_rebuilds.inc()
-        broken.shutdown(wait=False)
-
-    def _run_pooled(self, fn, *args):
-        """Run one task on the worker pool, surviving a dead worker.
-
-        A worker process killed mid-job (the OOM killer, a
-        ``worker:kill`` fault) breaks the whole
-        :class:`ProcessPoolExecutor` — without recovery every later
-        request would fail for the rest of the process lifetime.  Every
-        pool task funnels through here: one death costs one retry on a
-        fresh pool.  Retrying is safe because workers are pure
-        compute — results are stored parent-side in :meth:`_finish`,
-        so a killed attempt left no partial state behind.
-        """
-        pool = self._pool
-        try:
-            return pool.submit(fn, *args).result()
-        except BrokenExecutor:
-            self._rebuild_pool(pool)
-            pool = self._pool
-            try:
-                return pool.submit(fn, *args).result()
-            except BrokenExecutor:
-                # Leave a healthy pool behind even when giving up on
-                # this job; the caller records the failure.
-                self._rebuild_pool(pool)
-                raise
-
-    @staticmethod
-    def _fault_args() -> tuple | None:
-        """The active fault injector's config, for pool-task hand-off.
-
-        Workers started by forkserver/spawn snapshot the environment
-        when the *start method* initializes, which may predate a test's
-        ``install()`` — so every pool task carries the injector config
-        explicitly (see
-        :func:`repro.faults.injector.install_from_args`).
-        """
-        injector = active_faults()
-        return injector.config_args() if injector is not None else None
 
     # -- request handling ---------------------------------------------
 
@@ -532,51 +438,20 @@ class SizingService:
                 self._digests[token] = sha
         return sha
 
-    def _finish(
-        self,
-        record: JobRecord,
-        outcome: JobOutcome,
-        obs: dict | None = None,
-    ) -> JobRecord:
-        """Store + account one freshly executed outcome.
+    def _account(self, record: JobRecord, outcome: JobOutcome) -> None:
+        """Count one drained job before it is published.
 
         All counters go through the metrics registry — ``/v1/stats``
-        and ``/v1/metrics`` read the identical cells.  ``obs`` is the
-        worker-side span bundle shipped back in the result tuple; its
-        spans are folded into the phase-seconds metrics and appended to
-        this replica's ``trace.jsonl``.
+        and ``/v1/metrics`` read the identical cells.  A leased job that
+        re-probed as a cache hit counts as a hit, not an execution.
         """
-        observe_faults(get_registry(), (obs or {}).get("faults"))
-        store_outcome(outcome, self.cache)
+        if outcome.cached:
+            self._m_cache_hits.inc()
+            return
         self.admission.observe_drain(outcome.wall_seconds)
         self._m_executed.inc()
         self._m_finished.inc(status=outcome.status)
         self._m_job_seconds.observe(outcome.wall_seconds)
-        spans = (obs or {}).get("spans") or ()
-        if spans:
-            observe_spans(self.metrics, spans)
-            if self.trace_sink is not None:
-                self.trace_sink.emit_many(spans)
-        return self.store.finish(record.id, outcome)
-
-    def _outcome_from(
-        self, record: JobRecord, raw: tuple
-    ) -> tuple[JobOutcome, dict | None]:
-        """Build ``(JobOutcome, obs)`` from the 5-tuple of
-        :func:`pool_entry` ``(status, payload, error, wall, obs)``."""
-        status, payload, error, wall, obs = raw
-        outcome = JobOutcome(
-            index=0,
-            job=record.job,
-            key=record.key,
-            status=status,
-            cached=False,
-            wall_seconds=wall,
-            payload=payload,
-            error=error,
-            trace_id=record.trace_id,
-        )
-        return outcome, obs
 
     def size_sync(self, body: dict, client: str | None = None) -> JobRecord:
         """Handle a synchronous ``/v1/size``: block until the job is done.
@@ -601,129 +476,6 @@ class SizingService:
         """Handle ``/v1/size`` with ``async=true``: queue and return."""
         with self._request_scope():
             return self._admit(body, client)
-
-    # -- the drain workers ---------------------------------------------
-
-    def _carrier(self) -> dict | None:
-        """The current trace carrier to ship across the pool boundary."""
-        return current_carrier() if self.trace else None
-
-    def _resume_trace(
-        self, record: JobRecord
-    ) -> tuple[str | None, str | None]:
-        """Resume a leased job's trace: parse its ref, emit queue-wait.
-
-        The row's ``trace_id-root_span_id`` ref was allocated by the
-        *submitting* replica; this (draining) replica parents all its
-        spans under that root.  The queue-wait span spans enqueue to
-        lease on the wall clock (clamped at zero — the two ends may be
-        observed by different hosts).
-        """
-        ref = record.trace if self.trace else None
-        tid, _, root = (ref or "").partition("-")
-        if not tid or not root:
-            return None, None
-        wait = {
-            "type": "span",
-            "trace": tid,
-            "id": new_span_id(),
-            "parent": root,
-            "name": "queue.wait",
-            "ts": record.created_at,
-            "duration_s": max(0.0, time.time() - record.created_at),
-            "attrs": {"job": record.id, "worker": self.worker_id},
-        }
-        observe_spans(self.metrics, [wait])
-        if self.trace_sink is not None:
-            self.trace_sink.emit(wait)
-        return tid, root
-
-    def _drain_scope(self, tid: str | None, root: str | None):
-        """A trace scope for one drained job (no-op without a trace)."""
-        if tid is None:
-            return nullcontext()
-        return trace_scope(
-            sink=self.trace_sink, trace_id=tid, parent_id=root
-        )
-
-    def _emit_root(
-        self,
-        record: JobRecord,
-        finished: JobRecord,
-        tid: str | None,
-        root: str | None,
-    ) -> None:
-        """Emit a drained job's lifecycle root span, post-finish.
-
-        The root covers enqueue → finish on the wall clock, so the
-        queue-wait and execution children always sum to at most its
-        duration (both are clamped the same way).
-        """
-        if tid is None or root is None or self.trace_sink is None:
-            return
-        finished_at = finished.finished_at or time.time()
-        self.trace_sink.emit({
-            "type": "span",
-            "trace": tid,
-            "id": root,
-            "parent": None,
-            "name": "job",
-            "ts": record.created_at,
-            "duration_s": max(0.0, finished_at - record.created_at),
-            "attrs": {
-                "job": record.id,
-                "label": record.job.label(),
-                "status": finished.status,
-                "cached": finished.cached,
-                "worker": self.worker_id,
-            },
-        })
-
-    def _drain_loop(self) -> None:
-        """One drain worker: lease → probe → execute → publish, until
-        the queue closes; idle rounds sleep on the queue's wakeups."""
-        while not self.store.closed:
-            seen = self.store.version
-            if not self._drain_round():
-                self.store.idle(seen)
-
-    def _drain_round(self) -> bool:
-        """Lease one record and run it; True when work was claimed.
-
-        The leased job is re-probed against the cache first — another
-        replica may have finished an identical job between enqueue and
-        lease.  A miss runs through :func:`pool_entry`.
-        """
-        try:
-            record = self.store.lease(self.worker_id)
-        except Exception:  # noqa: BLE001 — a busy/locked DB must not
-            return False  # kill the drain thread; retry next round
-        if record is None:
-            return False
-        tid, root = self._resume_trace(record)
-        with self._drain_scope(tid, root):
-            with span("cache.probe") as probe_span:
-                hit = probe_cache(record.job, record.key, self.cache)
-                probe_span.set(hit=hit is not None)
-            if hit is not None:
-                self._m_cache_hits.inc()
-                finished = self.store.finish(record.id, hit)
-            else:
-                finished = self._run_one(record)
-        self._emit_root(record, finished, tid, root)
-        return True
-
-    def _run_one(self, record: JobRecord) -> JobRecord:
-        """Execute one leased miss through :func:`pool_entry`, publish it."""
-        try:
-            raw = self._run_pooled(
-                pool_entry, record.job, self.timeout, self._carrier(),
-                self._job_cache, self._fault_args(),
-            )
-        except Exception as exc:  # pool broke twice under this job
-            error = f"{type(exc).__name__}: {exc}"
-            raw = ("failed", None, error, 0.0, None)
-        return self._finish(record, *self._outcome_from(record, raw))
 
     def get_job(self, job_id: str) -> tuple[JobRecord, dict | None]:
         """A job record plus its full payload when one is available.
@@ -852,7 +604,7 @@ class SizingService:
             "executed": executed,
             "executor": {
                 "workers": self.jobs,
-                "kind": "thread" if self.jobs == 1 else "process",
+                "kind": "thread" if self.drainer.in_thread else "process",
                 "timeout": self.timeout,
             },
             "cache_dir": (
@@ -874,7 +626,9 @@ class SizingService:
                 if injector is not None
                 else None
             ),
-            "pool_rebuilds": int(self._m_pool_rebuilds.total()),
+            "pool_rebuilds": int(
+                self.metrics.counter("repro_pool_rebuilds_total").total()
+            ),
         }
 
     def metrics_text(self) -> str:
@@ -894,7 +648,7 @@ class SizingService:
         self.store.close()
         for thread in self._drainers:
             thread.join(timeout=5.0)
-        self._pool.shutdown(wait=True)
+        self.drainer.close()
         if self.trace_sink is not None:
             self.trace_sink.close()
         if self.run_dir is None:

@@ -50,8 +50,8 @@ from repro.obs.trace import (
     span,
     trace_scope,
 )
+from repro.runner.queue import MAX_ATTEMPTS
 from repro.service.app import SizingService
-from repro.service.queue import MAX_ATTEMPTS
 from repro.sizing.serialize import canonical_json
 
 __all__ = ["WIRE_SCHEMA", "SizingHTTPServer", "make_server", "serve"]

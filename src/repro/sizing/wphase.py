@@ -43,11 +43,6 @@ class WPhaseResult:
         """True when every budget was met without clamping."""
         return not self.clamped
 
-    @property
-    def worst_violation(self) -> float:
-        """Largest delay-over-budget excess (<= 0 when feasible)."""
-        return float(np.max(self.delays - self.budgets))
-
 
 def w_phase(
     dag: SizingDag,

@@ -25,7 +25,6 @@ resistance, matching the Elmore expression (3).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -474,8 +473,3 @@ def shared_default_library() -> CellLibrary:
     if _DEFAULT is None:
         _DEFAULT = default_library()
     return _DEFAULT
-
-
-def isqrt_area(area: float) -> float:
-    """Side of the square with the given area — helper for reports."""
-    return math.sqrt(max(area, 0.0))

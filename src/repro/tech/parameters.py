@@ -18,7 +18,7 @@ Units are internally consistent:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import TechnologyError
 
@@ -128,10 +128,6 @@ class Technology:
     def with_bounds(self, min_size: float, max_size: float) -> "Technology":
         """Return a copy with different size bounds."""
         return replace(self, min_size=min_size, max_size=max_size)
-
-    def with_load(self, c_load: float) -> "Technology":
-        """Return a copy with a different primary-output load."""
-        return replace(self, c_load=c_load)
 
 
 def default_technology() -> Technology:

@@ -6,7 +6,7 @@ import sqlite3
 import pytest
 
 from repro.errors import RunnerError
-from repro.runner import Job, run_one
+from repro.runner import Job, run_campaign
 from repro.runner.backends import (
     CacheBackend,
     DiskBackend,
@@ -229,11 +229,11 @@ class TestResultCacheOverBackends:
         """A sizing stored via the sqlite backend replays as a hit."""
         cache = ResultCache(f"sqlite:{tmp_path / 'cache.db'}")
         job = Job(circuit="c17", delay_spec=0.6)
-        first = run_one(job, cache=cache)
+        first = run_campaign([job], cache=cache).outcomes[0]
         assert first.status == "ok" and not first.cached
-        again = run_one(job, cache=ResultCache(
+        again = run_campaign([job], cache=ResultCache(
             f"sqlite:{tmp_path / 'cache.db'}"
-        ))
+        )).outcomes[0]
         assert again.cached
         assert again.payload == first.payload
 

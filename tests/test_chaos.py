@@ -5,7 +5,8 @@ injected faults must produce payloads *byte-identical* (via
 ``canonical_json(comparable_payload(...))``) to a fault-free run of the
 same jobs.  Three schedules are pinned:
 
-1. worker kills mid-campaign (pool restarts + cache re-probe),
+1. worker kills mid-campaign (the queue re-leases the job, up to its
+   ``max_attempts``),
 2. shared-cache I/O errors (breaker trips, service degrades to the
    local tier, then recovers),
 3. queue lease/publish contention plus truncated HTTP responses across
@@ -16,6 +17,7 @@ crash between cache put and log append, and a torn SQLite queue row —
 none may duplicate work, drop work, or corrupt a payload.
 """
 
+import json
 import sqlite3
 import threading
 
@@ -25,9 +27,9 @@ from repro.errors import ServiceError
 from repro.faults import CircuitBreaker, RetryPolicy
 from repro.faults.injector import active, install, uninstall
 from repro.runner import Job, ResultCache, load_run, resume, run, run_campaign
+from repro.runner.queue import WorkQueue
 from repro.runner.spec import CampaignSpec
 from repro.service import ServiceClient, SizingService, make_server
-from repro.service.queue import WorkQueue
 from repro.sizing.serialize import canonical_json, comparable_payload
 
 JOBS = [
@@ -81,6 +83,51 @@ class TestWorkerKillSchedule:
         for key in baseline_cache.scan():
             assert _comparable_payload(baseline_cache.get(key)) \
                 == _comparable_payload(chaos_cache.get(key))
+
+
+    def test_uncapped_kills_dead_letter_campaign_and_service_alike(
+        self, tmp_path, capsys,
+    ):
+        """Every worker entry dies, forever: each job is leased
+        ``MAX_ATTEMPTS`` times, then dead-lettered by the queue — the
+        one bound a campaign and the service share."""
+        from repro.__main__ import main
+        from repro.runner.queue import MAX_ATTEMPTS
+
+        install("worker:kill@1", seed=3, propagate=False)
+        spec = CampaignSpec(
+            name="doomed", circuits=("c17",), delay_specs=(0.6, 0.7)
+        )
+        result = run(
+            spec, jobs=2, cache=tmp_path / "cache", run_dir=tmp_path / "run"
+        )
+        assert [o.index for o in result.outcomes] == [0, 1]
+        assert [o.status for o in result.outcomes] == ["failed", "failed"]
+        assert all("worker process died" in o.error for o in result.outcomes)
+
+        service = SizingService(
+            jobs=1, cache=None, run_dir=tmp_path / "svc", timeout=60.0
+        )
+        try:
+            record = service.size_sync({"circuit": "c17", "delay_spec": 0.6})
+            health = service.health()
+        finally:
+            service.close()
+        assert record.status == "failed"
+        assert health["status"] == "degraded"
+
+        for db, poisoned in (
+            (tmp_path / "run" / "queue.db", 2), (tmp_path / "svc" / "queue.db", 1)
+        ):
+            assert main(["queue", "inspect", str(db), "--json"]) == 0
+            listed = json.loads(capsys.readouterr().out)
+            assert listed["poisoned"] == poisoned
+            assert len(listed["failed"]) == poisoned
+            for job in listed["failed"]:
+                assert job["attempts"] == MAX_ATTEMPTS
+                assert [e["event"] for e in job["history"]] == [
+                    "reclaim", "reclaim", "poison",
+                ]
 
 
 class TestCacheBreakerSchedule:

@@ -265,10 +265,9 @@ class TestSolverImports:
     def test_job_leaves_other_solver_unimported(self, circuit, spec, absent):
         script = textwrap.dedent(f"""
             import sys
-            from repro.runner import Job, run_one
-            outcome = run_one(Job(circuit={circuit!r}, delay_spec={spec}),
-                              cache=None)
-            assert outcome.status == "ok", outcome.status
+            from repro.runner import Job, execute_job
+            status, _ = execute_job(Job(circuit={circuit!r}, delay_spec={spec}))
+            assert status == "ok", status
             print({absent!r} in sys.modules)
         """)
         done = subprocess.run(

@@ -339,10 +339,10 @@ class TestExecutor:
         ]
 
         def comparable(job):
-            outcome = runner.run_one(job, cache=None)
-            assert outcome.status == "ok", outcome.error
+            status, payload = runner.execute_job(job)
+            assert status == "ok"
             return serialize.canonical_json(
-                serialize.comparable_payload(outcome.payload)
+                serialize.comparable_payload(payload)
             )
 
         serial = [comparable(job) for job in jobs]
@@ -371,39 +371,91 @@ class TestExecutor:
 
 
 class TestRunOne:
+    """One job through the one execution path: a one-job campaign."""
+
     def test_run_one_executes_and_stores(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         job = Job(circuit="c17", delay_spec=0.7)
-        outcome = runner.run_one(job, cache=cache)
+        outcome = run_campaign([job], cache=cache).outcomes[0]
         assert outcome.status == "ok" and not outcome.cached
         assert outcome.key in cache
 
     def test_run_one_replays_from_cache(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
         job = Job(circuit="c17", delay_spec=0.7)
-        first = runner.run_one(job, cache=cache)
+        first = run_campaign([job], cache=cache).outcomes[0]
         monkeypatch.setattr(executor, "_execute_sizing", lambda j, c=None: (
             (_ for _ in ()).throw(AssertionError("must replay"))
         ))
-        second = runner.run_one(job, cache=cache)
+        second = run_campaign([job], cache=cache).outcomes[0]
         assert second.cached
         assert second.payload == first.payload
 
     def test_run_one_matches_campaign_payload(self, tmp_path):
-        """One shared execution path: run_one == the campaign loop."""
+        """One shared execution path: a service answer == the campaign's."""
+        from repro.service import SizingService
+
         spec = small_spec(name="one", specs=(0.7,))
         campaign = runner.run(spec, jobs=1, cache=None)
-        single = runner.run_one(spec.jobs()[0], cache=None)
-        assert single.payload["result"]["x"] == (
-            campaign.outcomes[0].payload["result"]["x"]
+        service = SizingService(jobs=1, cache=None, run_dir=None)
+        try:
+            single = service.size_sync({"circuit": "c17", "delay_spec": 0.7})
+        finally:
+            service.close()
+        assert serialize.canonical_json(
+            serialize.comparable_payload(single.payload)
+        ) == serialize.canonical_json(
+            serialize.comparable_payload(campaign.outcomes[0].payload)
         )
 
     def test_run_one_isolates_failures(self):
-        outcome = runner.run_one(
-            Job(circuit="definitely-not-a-circuit", delay_spec=0.5)
-        )
+        outcome = run_campaign(
+            [Job(circuit="definitely-not-a-circuit", delay_spec=0.5)]
+        ).outcomes[0]
         assert outcome.status == "failed"
         assert "definitely-not-a-circuit" in outcome.error
+
+
+class TestQueuePath:
+    """Campaign misses run through a WorkQueue; hits never touch one."""
+
+    def test_cached_run_constructs_no_queue(self, tmp_path, monkeypatch):
+        from repro.runner.queue import WorkQueue
+
+        spec = small_spec(name="hits")
+        runner.run(spec, cache=tmp_path / "cache", run_dir=tmp_path / "a")
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a fully cached run opened a queue")
+
+        monkeypatch.setattr(WorkQueue, "__init__", refuse)
+        for run_dir in (tmp_path / "b", None):
+            result = runner.run(
+                spec, cache=tmp_path / "cache", run_dir=run_dir
+            )
+            assert result.n_cached == len(result.outcomes) == 2
+        assert not (tmp_path / "b" / "queue.db").exists()
+
+    def test_parallel_run_logs_each_job_once_and_cleans_up(self, tmp_path):
+        import multiprocessing
+
+        spec = small_spec(name="par", specs=(0.6, 0.7, 0.8))
+        result = runner.run(
+            spec, jobs=2, cache=tmp_path / "cache", run_dir=tmp_path / "run"
+        )
+        assert [o.index for o in result.outcomes] == [0, 1, 2]
+        assert all(o.status == "ok" for o in result.outcomes)
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "run" / "campaign.jsonl").open()
+        ]
+        jobs = [r for r in records if r["type"] == "job"]
+        assert sorted(r["index"] for r in jobs) == [0, 1, 2]
+        assert multiprocessing.active_children() == []
+        assert not [
+            t for t in threading.enumerate()
+            if t.name.startswith("repro-drain")
+        ]
 
 
 class TestResume:

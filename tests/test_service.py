@@ -132,18 +132,28 @@ class TestTransport:
         finally:
             conn.close()
 
-    def test_timeout_forces_enforcing_pool(self, tmp_path):
-        """jobs=1 with a timeout must not use the thread pool, where
-        the SIGALRM budget would be silently disarmed."""
-        from concurrent.futures import ThreadPoolExecutor as TPE
+    def test_timeout_is_enforced_in_a_worker_process(self):
+        """jobs=1 with a timeout runs jobs on a worker process, whose
+        main thread arms the SIGALRM budget: a stalled solve ends as
+        ``timeout`` at about its budget, and stats report the pool."""
+        from repro.faults.injector import install, uninstall
 
         service = SizingService(
-            jobs=1, cache=None, run_dir=None, timeout=30.0
+            jobs=1, cache=None, run_dir=None, timeout=0.5
         )
+        install("solver:delay=5@1", propagate=False)
         try:
-            assert not isinstance(service._pool, TPE)
+            start = time.monotonic()
+            record = service.size_sync({"circuit": "c17", "delay_spec": 0.6})
+            elapsed = time.monotonic() - start
+            kind = service.stats()["executor"]["kind"]
         finally:
+            uninstall()
             service.close()
+        assert record.status == "timeout", record.error
+        assert "budget" in record.error
+        assert elapsed < 4.5
+        assert kind == "process"
 
     def test_ephemeral_netlist_spool_is_removed_on_close(self):
         service = SizingService(jobs=1, cache=None, run_dir=None)
@@ -294,7 +304,7 @@ class TestJobQueue:
         """With the cross-process poll pushed to 30 s, only in-process
         wakeups can carry a sync miss through the queue in time; a lost
         wakeup would stall its request for a whole poll interval."""
-        monkeypatch.setattr("repro.service.queue.POLL_INTERVAL", 30.0)
+        monkeypatch.setattr("repro.runner.queue.POLL_INTERVAL", 30.0)
         # sync_wait bounds a stalled request: it degrades to "queued".
         service = SizingService(
             jobs=1, cache=None, run_dir=tmp_path / "run", sync_wait=20.0,

@@ -15,9 +15,9 @@ import pytest
 from repro.errors import ServiceError
 from repro.runner import Job, execute_job, executor
 from repro.runner.executor import JobOutcome
+from repro.runner.queue import MAX_ATTEMPTS, WorkQueue
 from repro.service import ServiceClient, SizingService, make_server
 from repro.service.admission import AdmissionController, TokenBucket
-from repro.service.queue import MAX_ATTEMPTS, WorkQueue
 from repro.service.server import WIRE_SCHEMA
 from repro.sizing.serialize import canonical_json
 
@@ -99,7 +99,7 @@ class TestWorkQueue:
     def test_admit_anchors_stay_bounded(self, tmp_path, monkeypatch):
         """Jobs created here but finished by another replica never pop
         their monotonic admit anchor; the table must stay bounded."""
-        monkeypatch.setattr("repro.service.queue.MAX_ANCHORS", 4)
+        monkeypatch.setattr("repro.runner.queue.MAX_ANCHORS", 4)
         creator = WorkQueue(tmp_path / "q.db")
         drainer = WorkQueue(tmp_path / "q.db")
         for _ in range(10):

@@ -29,10 +29,10 @@ import pytest
 
 from repro.dag import build_sizing_dag
 from repro.faults.injector import install, uninstall
-from repro.obs.trace import SpanSink, trace_scope
+from repro.obs.trace import SpanSink
 from repro.runner import CampaignSpec, run
 from repro.runner.cache import CACHE_LAYOUT_VERSION, ResultCache
-from repro.runner.executor import run_campaign, run_one
+from repro.runner.executor import run_campaign
 from repro.runner.spec import Job, resolve_circuit, tier_preset
 from repro.runner.trajectory import (
     TRAJECTORY_VERSION,
@@ -61,12 +61,16 @@ def _key(job: Job) -> str:
     return trajectory_key(_dag(job), TilosOptions())
 
 
+def _run(job: Job, cache=None):
+    """One job as a one-job campaign; returns its outcome."""
+    return run_campaign([job], cache=cache).outcomes[0]
+
+
 def _traced(job: Job, cache) -> tuple:
-    """``run_one`` inside a trace; returns the outcome and the attrs of
+    """A traced one-job campaign; returns the outcome and the attrs of
     its ``tilos.seed`` span."""
     sink = SpanSink()
-    with trace_scope(sink=sink):
-        outcome = run_one(job, cache)
+    outcome = run_campaign([job], cache=cache, trace_sink=sink).outcomes[0]
     seeds = [r["attrs"] for r in sink.drain() if r["name"] == "tilos.seed"]
     assert len(seeds) == (0 if outcome.cached else 1)
     return outcome, (seeds[0] if seeds else None)
@@ -97,7 +101,7 @@ class TestSeededColdParity:
     @pytest.mark.parametrize("sweep", sorted(_SWEEPS))
     def test_drifting_sweep_matches_cold(self, tmp_path, sweep):
         jobs = _SWEEPS[sweep]
-        cold = [run_one(job, cache=None) for job in jobs]
+        cold = [_run(job, cache=None) for job in jobs]
         cache = ResultCache(tmp_path / "cache")
         warm = [_traced(job, cache) for job in jobs]
         for cold_out, (warm_out, _) in zip(cold, warm):
@@ -136,7 +140,7 @@ class TestSeededColdParity:
         seeds = [s["attrs"] for s in spans if s["name"] == "tilos.seed"]
         assert len(seeds) == 1 and seeds[0]["replayed"] > 0
         for job, outcome in zip(jobs, outcomes):
-            assert _comparable(outcome) == _comparable(run_one(job, cache=None))
+            assert _comparable(outcome) == _comparable(_run(job, cache=None))
         # Results only: the trajectory record shares the backend but
         # not the result cache's key space.
         assert len(ResultCache(spec)) == 2
@@ -148,7 +152,7 @@ class TestSeededColdParity:
         cold."""
         base = tier_preset("smoke").jobs()[0]
         jobs = [base, Job(base.circuit, base.delay_spec * 0.95)]
-        cold = [run_one(job, cache=None) for job in jobs]
+        cold = [_run(job, cache=None) for job in jobs]
         cache = ResultCache(tmp_path / "cache")
         warm = [_traced(job, cache) for job in jobs]
         for cold_out, (warm_out, _) in zip(cold, warm):
@@ -191,7 +195,7 @@ class TestDivergenceFallback:
         donor = Job("rca:8", 0.92)
         target = Job("rca:8", 0.88)
         cache = ResultCache(tmp_path / "cache")
-        run_one(donor, cache)
+        _run(donor, cache)
         key = _key(donor)
         record = cache.backend.get(key)
         assert record is not None and record["data"]["bumps"]
@@ -204,7 +208,7 @@ class TestDivergenceFallback:
         record["checksum"] = record_checksum(record)
         cache.backend.put(key, record)
 
-        cold = run_one(target, cache=None)
+        cold = _run(target, cache=None)
         warm, seed = _traced(target, cache)
         assert seed["replayed"] == 0
         assert seed["rejected"] == "replayed delay trace diverged"
@@ -222,7 +226,7 @@ class TestQuarantine:
         donors = [Job("rca:6", 0.92), Job("rca:8", 0.92)]
         payloads = {}
         for job in donors:
-            out = run_one(job, cache)
+            out = _run(job, cache)
             payloads[out.key] = out.payload
         k6, k8 = _key(donors[0]), _key(donors[1])
         # rca:6: a record of another version (checksum recomputed).
@@ -241,7 +245,7 @@ class TestQuarantine:
         ):
             warm, seed = _traced(job, cache)
             assert (seed["replayed"], seed["rejected"]) == (0, reason)
-            assert _comparable(warm) == _comparable(run_one(job, cache=None))
+            assert _comparable(warm) == _comparable(_run(job, cache=None))
         for key in (k6, k8):
             record = cache.backend.get(key)
             assert record["version"] == TRAJECTORY_VERSION
@@ -256,7 +260,7 @@ class TestQuarantine:
         cache.backend.put(key, json.loads('["not", "a", "record"]'))
         warm, seed = _traced(job, cache)
         assert seed["replayed"] == 0 and "rejected" not in seed
-        assert _comparable(warm) == _comparable(run_one(job, cache=None))
+        assert _comparable(warm) == _comparable(_run(job, cache=None))
         assert cache.backend.get(key)["version"] == TRAJECTORY_VERSION
 
     def test_unreadable_record_runs_cold(self, tmp_path):
@@ -264,7 +268,7 @@ class TestQuarantine:
         leaves the job cold and ``ok``; its trajectory is written."""
         cache = ResultCache(tmp_path / "cache")
         donor, job = Job("rca:8", 0.92), Job("rca:8", 0.88)
-        run_one(donor, cache)
+        _run(donor, cache)
         key = _key(job)
         stored = len(cache.backend.get(key)["data"]["bumps"])
         install("cache.get:io_error@1", propagate=False)
@@ -274,7 +278,7 @@ class TestQuarantine:
             uninstall()
         assert warm.status == "ok" and not warm.cached
         assert seed["replayed"] == 0 and "rejected" not in seed
-        assert _comparable(warm) == _comparable(run_one(job, cache=None))
+        assert _comparable(warm) == _comparable(_run(job, cache=None))
         assert len(cache.backend.get(key)["data"]["bumps"]) > stored
 
     def test_parent_warm_entries_still_hit(self, tmp_path):
@@ -282,7 +286,7 @@ class TestQuarantine:
         (the retired layout) still hits with the same payload."""
         cache = ResultCache(tmp_path / "cache")
         job = Job("rca:6", 0.9)
-        first = run_one(job, cache)
+        first = _run(job, cache)
         entry = cache.backend.get(first.key)
         entry["warm"] = {
             "version": 2, "fingerprint": 1, "kind": "sizing", "mode": "gate",
@@ -291,7 +295,7 @@ class TestQuarantine:
             "checksum": "0" * 16,
         }
         cache.backend.put(first.key, entry)
-        replay = run_one(job, ResultCache(tmp_path / "cache"))
+        replay = _run(job, ResultCache(tmp_path / "cache"))
         assert replay.cached
         assert replay.payload == first.payload
 
@@ -300,16 +304,16 @@ class TestHitPath:
     def test_hit_reads_backend_once(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         job = Job("rca:6", 0.9)
-        run_one(job, cache)
+        _run(job, cache)
         reads = []
         get = cache.backend.get
         cache.backend.get = lambda key: reads.append(key) or get(key)
-        assert run_one(job, cache).cached
+        assert _run(job, cache).cached
         assert len(reads) == 1
 
     def test_seeded_entry_has_no_warm_field(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_one(Job("rca:6", 0.92), cache)
+        _run(Job("rca:6", 0.92), cache)
         seeded, seed = _traced(Job("rca:6", 0.88), cache)
         assert seed["replayed"] > 0
         entry = cache.backend.get(seeded.key)
